@@ -7,7 +7,9 @@ Persistent: there are weights p on the species simplex with
     sum_i p_i lambda_i(mu) > 0 for every mu in M.
 The best such margin is the maximin value t* over M; a strictly positive
 t* (beyond numerical tolerance and beyond the Monte Carlo uncertainty of
-whichever rows attain the minimum) is the certificate.
+whichever rows attain the minimum) is the certificate.  That decision,
+and the survivor and repulsion tests below, are the single rule
+``measures.maximin_decision`` applied to different blocks of the table.
 
 Extinction: some measures are sinks.  mu is a sink when every species
 outside its support has negative invasion rate against it AND the
@@ -32,11 +34,10 @@ import numpy as np
 
 from .assumptions import AssumptionReport, run_assumption_checks
 from .measures import (AnalysisBudget, BoundaryDiscovery, ErgodicMeasure,
-                       InvasionRateTable, discover_boundary)
+                       InvasionRateTable, _face_label, discover_boundary,
+                       maximin_decision)
 from .model import KolmogorovModel
 from .simplex import solve_maximin
-
-_BINDING_SLACK = 1e-12
 
 
 @dataclass
@@ -168,43 +169,32 @@ def maximin_weights(table: InvasionRateTable) -> tuple[np.ndarray, float]:
     return solve_maximin(table.rates_for_lp())
 
 
-def _binding_band(rows: np.ndarray, ci: np.ndarray, p: np.ndarray,
-                  t_star: float) -> tuple[np.ndarray, float]:
-    vals = rows @ p
-    binding = np.flatnonzero(vals <= t_star + _BINDING_SLACK + 1e-9 * abs(t_star))
-    band = float(np.max(ci[binding] @ p)) if binding.size else 0.0
-    return binding, band
-
-
 def check_persistence(table: InvasionRateTable,
                       budget: AnalysisBudget | None = None,
                       ) -> PersistenceCertificate | PersistenceRefusal:
     """Persistence certificate, or a refusal naming the blocking measure."""
     budget = budget or AnalysisBudget()
-    rows = table.rates_for_lp()
-    # every off-support entry must have a known sign before we trust the LP
-    for k, mu in enumerate(table.measures):
-        for i in range(table.n_species):
-            if i in mu.support or table.sign_decidable(k, i):
-                continue
-            return PersistenceRefusal(
-                reason=(f"invasion rate of species {i + 1} against {mu.key} is "
-                        f"{table.rates[k, i]:.4g} with uncertainty "
-                        f"{table.ci[k, i]:.4g}: not sign-decidable"),
-                measure=mu.key, species=i + 1)
-    p, t_star = solve_maximin(rows)
-    binding, band = _binding_band(rows, table.ci, p, t_star)
-    gate = max(budget.decision_tol, band)
+    d = maximin_decision(table, decision_tol=budget.decision_tol)
+    if d.decision == "undecidable":
+        k, i = d.undecidable
+        mu = table.measures[k]
+        return PersistenceRefusal(
+            reason=(f"invasion rate of species {i + 1} against {mu.key} is "
+                    f"{table.rates[k, i]:.4g} with uncertainty "
+                    f"{table.ci[k, i]:.4g}: not sign-decidable"),
+            measure=mu.key, species=i + 1)
+    t_star, band, binding = d.t_star, d.band, d.binding
     argmin = None
     if binding.size:
-        worst_k = int(binding[int(np.argmax(table.ci[binding] @ p))])
-        argmin = table.measures[worst_k].key
-    if t_star > gate:
+        # the binding measure with the widest band
+        ci = table.lp_view(binding)[1]
+        argmin = table.measures[binding[int(np.argmax(ci @ d.p))]].key
+    if d.decision == "positive":
         return PersistenceCertificate(
-            weights=p, t_star=t_star,
+            weights=d.p, t_star=t_star,
             binding=[table.measures[k].key for k in binding],
             uncertainty=band)
-    if t_star < -gate:
+    if d.decision == "negative":
         return PersistenceRefusal(
             reason=(f"no weights make every boundary measure invadable: maximin "
                     f"margin {t_star:.4g} at {argmin}"),
@@ -225,16 +215,9 @@ def check_persistence(table: InvasionRateTable,
 # ---------------------------------------------------------------------------
 # extinction partition
 
-def _sub_maximin(table: InvasionRateTable, support: tuple[int, ...],
-                 budget: AnalysisBudget) -> tuple[float, float]:
-    """Maximin margin of the sub-community on `support` vs its own boundary."""
-    cols = np.array(support, dtype=int)
-    sub = [k for k, nu in enumerate(table.measures) if set(nu.support) < set(support)]
-    rows = table.rates_for_lp()[np.ix_(sub, cols)]
-    ci = table.ci[np.ix_(sub, cols)]
-    p, t_star = solve_maximin(rows)
-    _, band = _binding_band(rows, ci, p, t_star)
-    return t_star, band
+def _undecidable_reason(table: InvasionRateTable, k: int, i: int) -> str:
+    return (f"invasion rate of species {i + 1} against {table.measures[k].key} "
+            "is not sign-decidable at this budget")
 
 
 def check_extinction_measure(table: InvasionRateTable, k: int,
@@ -243,31 +226,30 @@ def check_extinction_measure(table: InvasionRateTable, k: int,
     """('sink'|'other'|'undecided', reason) for measure k of the table."""
     budget = budget or AnalysisBudget()
     mu = table.measures[k]
-    outside = [i for i in range(table.n_species) if i not in mu.support]
-    worst = None
-    for i in outside:
-        if not table.sign_decidable(k, i):
-            return "undecided", (
-                f"invasion rate of species {i + 1} against {mu.key} is not "
-                "sign-decidable at this budget")
-        v = table.rates[k, i]
-        worst = v if worst is None else max(worst, v)
-    if outside and worst >= 0.0:
+    unknown = table.lp_view([k])[2]
+    if unknown is not None:
+        return "undecided", _undecidable_reason(table, *unknown)
+    worst = table.rates[k, ~table.on_support[k]].max(initial=-np.inf)
+    if worst >= 0.0:
         return "other", (
             f"some outside species invades {mu.key} (max rate {worst:.4g})")
     if mu.support:
-        t_sub, band = _sub_maximin(table, mu.support, budget)
-        gate = max(budget.decision_tol, band)
-        if t_sub <= gate:
-            if t_sub < -gate:
-                # the survivors are not self-persistent; such a measure should
-                # not have been discovered, flag rather than trust it
-                return "undecided", (
-                    f"survivor community of {mu.key} fails its own persistence "
-                    f"test (margin {t_sub:.4g})")
+        # the survivors against their own boundary: the test discovery
+        # passed when it admitted this measure
+        d = maximin_decision(table, table.rows_below(mu.support), mu.support,
+                             budget.decision_tol)
+        if d.decision == "undecidable":
+            return "undecided", _undecidable_reason(table, *d.undecidable)
+        if d.decision == "negative":
+            # the survivors are not self-persistent; such a measure should
+            # not have been discovered, flag rather than trust it
+            return "undecided", (
+                f"survivor community of {mu.key} fails its own persistence "
+                f"test (margin {d.t_star:.4g})")
+        if d.decision == "unresolved":
             return "undecided", (
                 f"survivor community of {mu.key} has borderline persistence "
-                f"margin {t_sub:.4g}")
+                f"margin {d.t_star:.4g}")
     return "sink", ""
 
 
@@ -291,19 +273,10 @@ def partition_measures(table: InvasionRateTable,
 
     if not others_idx:
         return MeasurePartition(sinks, others, undecided, "vacuous")
-    rows = table.rates_for_lp()[others_idx]
-    ci = table.ci[others_idx]
-    p, t_star = solve_maximin(rows)
-    _, band = _binding_band(rows, ci, p, t_star)
-    gate = max(budget.decision_tol, band)
-    if t_star > gate:
-        status = "holds"
-    elif t_star < -gate:
-        status = "fails"
-    else:
-        status = "undecidable"
+    d = maximin_decision(table, others_idx, decision_tol=budget.decision_tol)
+    status = {"positive": "holds", "negative": "fails"}.get(d.decision, "undecidable")
     return MeasurePartition(sinks, others, undecided, status,
-                            repulsion_margin=t_star)
+                            repulsion_margin=d.t_star)
 
 
 def _extinction_targets(table: InvasionRateTable,
@@ -363,11 +336,10 @@ def classify(model: KolmogorovModel,
     discovery = discover_boundary(model, budget)
     if discovery.unresolved:
         face, reason = discovery.unresolved[0]
-        label = "{" + ", ".join(str(i + 1) for i in face) + "}"
         return Verdict(
             kind="Inconclusive", assumptions=assumptions, discovery=discovery,
             refusal=PersistenceRefusal(
-                reason=f"boundary face {label} unresolved: {reason}"),
+                reason=f"boundary face {_face_label(face)} unresolved: {reason}"),
             notes=notes)
 
     outcome = check_persistence(discovery.table, budget)

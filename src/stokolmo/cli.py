@@ -4,8 +4,9 @@ Five subcommands: `check` prints the assumption report, `classify` the
 verdict with its measure table, `simulate` a trajectory, `verify` the
 full classify-then-validate run report, and `foodchain` the chain fast
 path.  Exit codes: 0 success, 1 when the outcome is Inconclusive or the
-Monte Carlo validation FAILED, 2 on input errors.  Every error leaves a
-single JSON diagnostic on stderr so wrappers never have to parse prose.
+Monte Carlo validation FAILED, 2 on input errors and on library failures
+(simplex or engine).  Every error leaves a single JSON diagnostic on
+stderr so wrappers never have to parse prose.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import numpy as np
 from . import __version__
 from .assumptions import run_assumption_checks
 from .classify import classify
-from .engine import SimConfig, simulate_path
+from .engine import EngineError, SimConfig, simulate_path
 from .foodchain import FoodChainError, classify_food_chain, load_food_chain
 from .measures import AnalysisBudget
 from .model import KolmogorovModel, ModelError, load_model
 from .report import RunReport, canonical_json, write_report
+from .simplex import SimplexError
 from .verify import verify_verdict
 
 
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         sys.stderr.write(json.dumps({"error": "input", "message": str(exc)}) + "\n")
         return 2
-    except (ModelError, FoodChainError, ValueError) as exc:
+    except (ModelError, FoodChainError, ValueError, SimplexError, EngineError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 2

@@ -7,12 +7,12 @@ correction, so positivity holds by construction:
 
 with L the lower-triangular factor of the noise covariance and xi a
 vector of independent standard normals.  Each sample path draws from its
-own counter-based stream keyed by (seed, path id), so an ensemble gives
-bitwise identical results no matter how many worker threads execute it
-or in which order paths finish; all cross-path reductions happen in
-fixed path order after the fact.
+own counter-based stream keyed by (seed, path id), and per-path
+arithmetic does not depend on how paths are grouped, so an ensemble
+gives bitwise identical results for any block width; all cross-path
+reductions happen in fixed path order after the fact.
 
-Paths are stepped in fixed-size blocks vectorized across paths.  A path
+Paths are stepped in blocks vectorized across paths.  A path
 that crosses the blow-up threshold halts (its terminal state and time
 are recorded and it is frozen out of further arithmetic); crossing the
 extinction threshold is only flagged, since in log coordinates nothing
@@ -21,8 +21,6 @@ bad happens numerically when a species keeps decaying.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,7 +30,7 @@ from .expressions import ExpressionDomainError
 from .model import ConstantNoise, KolmogorovModel
 
 _CHUNK = 4096   # time steps integrated per noise batch; fixed for reproducibility
-_BLOCK = 64     # paths per vectorized block; fixed so thread count cannot matter
+_BLOCK = 64     # paths per vectorized block
 
 _MASK64 = (1 << 64) - 1
 
@@ -198,20 +196,6 @@ class EnsembleStats:
         else:
             se = np.full_like(mean, np.nan)
         return mean, se
-
-
-def resolve_workers(n_blocks: int) -> int:
-    """Worker thread count: STOKOLMO_THREADS, 0 or unset meaning auto."""
-    raw = os.environ.get("STOKOLMO_THREADS", "0").strip()
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise EngineError(f"STOKOLMO_THREADS must be an integer, got {raw!r}")
-    if requested < 0:
-        raise EngineError("STOKOLMO_THREADS must be nonnegative")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_blocks))
 
 
 def _generators(seed: int, path_ids: range):
@@ -444,20 +428,14 @@ def simulate_path(model: KolmogorovModel, x0, cfg: SimConfig,
 def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig) -> EnsembleStats:
     """Integrate ``cfg.n_paths`` independent paths from the same start.
 
-    Blocks of ``_BLOCK`` paths run concurrently when worker threads are
-    available; every reduction below walks blocks in fixed order.
+    Paths run in blocks of ``_BLOCK``; every reduction below walks blocks
+    in fixed order.
     """
     x0 = _check_x0(model, x0)
     y0 = np.log(x0)
     P = cfg.n_paths
     ranges = [range(s, min(s + _BLOCK, P)) for s in range(0, P, _BLOCK)]
-    workers = resolve_workers(len(ranges))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(
-                lambda r: _run_block(model, y0, cfg, r), ranges))
-    else:
-        outs = [_run_block(model, y0, cfg, r) for r in ranges]
+    outs = [_run_block(model, y0, cfg, r) for r in ranges]
 
     y_end = np.vstack([o.y_end for o in outs])
     t_end = np.concatenate([o.t_end for o in outs])

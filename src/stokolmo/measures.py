@@ -20,12 +20,20 @@ then represented analytically (Lotka-Volterra moments), by quadrature
 (one-dimensional stationary density), or by Monte Carlo occupation, in
 that order of preference.  Anything that cannot be resolved marks the
 face, and every superface, as unresolved rather than guessing.
+
+Every sign decision is one rule, :func:`maximin_decision`, on a block of
+the rate table: pin on-support rates and half widths to zero, require
+every other sign to be known, solve for the maximin weights p and margin
+t*, take as band the largest p . ci over the binding rows (p . rates <=
+t* + 1e-12 + 1e-9 |t*|), and decide the sign of t* only beyond
+max(decision_tol, band).  Discovery and every verdict test use it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -399,6 +407,20 @@ class InvasionRateTable:
     rates: np.ndarray        # (n_measures, n)
     ci: np.ndarray           # (n_measures, n) half widths; 0 means exact
     n_species: int
+    on_support: np.ndarray = field(init=False, repr=False)   # (n_measures, n) bool
+
+    def __post_init__(self):
+        self.on_support = np.array([self._support_row(mu) for mu in self.measures],
+                                   dtype=bool).reshape(-1, self.n_species)
+
+    def _support_row(self, mu: ErgodicMeasure) -> list[bool]:
+        return [i in mu.support for i in range(self.n_species)]
+
+    def append(self, mu: ErgodicMeasure, rate: np.ndarray, ci: np.ndarray):
+        self.measures.append(mu)
+        self.rates = np.concatenate([self.rates, [rate]])
+        self.ci = np.concatenate([self.ci, [ci]])
+        self.on_support = np.concatenate([self.on_support, [self._support_row(mu)]])
 
     def row(self, key: str) -> np.ndarray:
         for k, mu in enumerate(self.measures):
@@ -406,21 +428,36 @@ class InvasionRateTable:
                 return self.rates[k]
         raise KeyError(key)
 
-    def sign_decidable(self, k: int, i: int) -> bool:
-        return self.ci[k, i] == 0.0 or abs(self.rates[k, i]) > self.ci[k, i]
+    def rows_below(self, face) -> np.ndarray:
+        """Rows whose measure support is a proper subset of ``face``."""
+        fset = set(face)
+        return np.array([k for k, mu in enumerate(self.measures)
+                         if set(mu.support) < fset], dtype=int)
 
-    def rates_for_lp(self) -> np.ndarray:
-        """Copy of the rate matrix with on-support entries pinned to zero.
+    def lp_view(self, rows=None, cols=None):
+        """Rates and half widths of a block, with on-support entries pinned
+        to zero, and the (row, species) of the block's first entry, in
+        measure then species order, whose sign is open (None if every
+        sign is known).
 
         For species inside a measure's support the rate is an exact zero;
         Monte Carlo rows only estimate it, and feeding that noise to the
-        weight optimization would wobble the certificate for no reason.
+        weight optimization or to its uncertainty band would wobble the
+        decision for no reason.
         """
-        out = self.rates.copy()
-        for k, mu in enumerate(self.measures):
-            for i in mu.support:
-                out[k, i] = 0.0
-        return out
+        rows = np.arange(len(self.measures)) if rows is None else np.asarray(rows, dtype=int)
+        cols = np.arange(self.n_species) if cols is None else np.asarray(cols, dtype=int)
+        block = (rows[:, None], cols)
+        pin = self.on_support[block]
+        rates = np.where(pin, 0.0, self.rates[block])
+        ci = np.where(pin, 0.0, self.ci[block])
+        unknown = np.argwhere((ci > 0.0) & (np.abs(rates) <= ci)) if ci.any() else ()
+        first = (int(rows[unknown[0][0]]), int(cols[unknown[0][1]])) if len(unknown) else None
+        return rates, ci, first
+
+    def rates_for_lp(self) -> np.ndarray:
+        """Copy of the rate matrix with on-support entries pinned to zero."""
+        return self.lp_view()[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -434,6 +471,37 @@ class InvasionRateTable:
                 for k, mu in enumerate(self.measures)
             ],
         }
+
+
+class MaximinDecision(NamedTuple):
+    decision: str                # positive | negative | unresolved | undecidable
+    p: np.ndarray | None         # optimal species weights over the block's columns
+    t_star: float | None         # maximin margin
+    band: float                  # Monte Carlo half width of the binding rows
+    binding: np.ndarray          # table rows attaining the minimum
+    undecidable: tuple[int, int] | None = None   # (table row, species), first unknown sign
+
+
+def maximin_decision(table: InvasionRateTable, rows=None, cols=None,
+                     decision_tol: float = 1e-9) -> MaximinDecision:
+    """The maximin persistence test on one block of the table (module docs).
+
+    An entry of unknown sign is reported before any LP is solved."""
+    rows = np.arange(len(table.measures)) if rows is None else np.asarray(rows, dtype=int)
+    rates, ci, unknown = table.lp_view(rows, cols)
+    if unknown is not None:
+        return MaximinDecision("undecidable", None, None, 0.0, rows[:0], unknown)
+    p, t_star = solve_maximin(rates)
+    hit = np.flatnonzero(rates @ p <= t_star + 1e-12 + 1e-9 * abs(t_star))
+    band = float(np.max(ci[hit] @ p)) if hit.size else 0.0
+    gate = max(decision_tol, band)
+    if t_star > gate:
+        decision = "positive"
+    elif t_star < -gate:
+        decision = "negative"
+    else:
+        decision = "unresolved"
+    return MaximinDecision(decision, p, t_star, band, rows[hit])
 
 
 def _lv_rates(model: KolmogorovModel, moments: np.ndarray) -> np.ndarray:
@@ -622,10 +690,9 @@ def discover_boundary(model: KolmogorovModel,
     origin = ErgodicMeasure(
         support=(), kind="dirac-origin", provenance="analytic",
         moments=np.zeros(n))
-    measures = [origin]
     r0, c0 = measure_rates(model, origin)
-    rate_rows = [r0]
-    ci_rows = [c0]
+    table = InvasionRateTable(measures=[origin], rates=r0[None], ci=c0[None],
+                              n_species=n)
     unresolved: list[tuple[tuple[int, ...], str]] = []
 
     for size in range(1, n):
@@ -636,54 +703,29 @@ def discover_boundary(model: KolmogorovModel,
                 unresolved.append(
                     (face, f"contains unresolved face {_face_label(poisoned)}"))
                 continue
-            sub_idx = [k for k, mu in enumerate(measures) if set(mu.support) < fset]
-            cols = np.array(face, dtype=int)
-            rows = np.array([rate_rows[k] for k in sub_idx])[:, cols]
-            rows_ci = np.array([ci_rows[k] for k in sub_idx])[:, cols]
-            # pin on-support entries to their exact zero before optimizing
-            for rk, k in enumerate(sub_idx):
-                for ck, i in enumerate(face):
-                    if i in measures[k].support:
-                        rows[rk, ck] = 0.0
-            undecidable = [
-                (measures[k].key, i + 1)
-                for rk, k in enumerate(sub_idx)
-                for ck, i in enumerate(face)
-                if i not in measures[k].support
-                and rows_ci[rk, ck] > 0.0
-                and abs(rows[rk, ck]) <= rows_ci[rk, ck]
-            ]
-            if undecidable:
-                mu_key, sp = undecidable[0]
+            d = maximin_decision(table, table.rows_below(face), face,
+                                 budget.decision_tol)
+            if d.decision == "undecidable":
+                k, i = d.undecidable
                 unresolved.append((face, (
-                    f"invasion rate of species {sp} against {mu_key} is not "
-                    "sign-decidable at this Monte Carlo budget")))
-                continue
-            p, t_star = solve_maximin(rows)
-            binding = np.flatnonzero(rows @ p <= t_star + 1e-12)
-            band = float(np.max(rows_ci[binding] @ p)) if binding.size else 0.0
-            gate = max(budget.decision_tol, band)
-            if t_star > gate:
+                    f"invasion rate of species {i + 1} against "
+                    f"{table.measures[k].key} is not sign-decidable at this "
+                    "Monte Carlo budget")))
+            elif d.decision == "positive":
                 try:
                     mu = _build_face_measure(model, face, budget)
                 except MeasureError as exc:
                     unresolved.append((face, str(exc)))
-                    continue
-                r, c = measure_rates(model, mu)
-                measures.append(mu)
-                rate_rows.append(r)
-                ci_rows.append(c)
-            elif t_star < -gate:
-                continue   # subsystem not persistent: no interior measure here
-            else:
+                else:
+                    table.append(mu, *measure_rates(model, mu))
+            elif d.decision == "unresolved":
                 unresolved.append((face, (
-                    f"subsystem maximin value {t_star:.3g} is too close to zero "
+                    f"subsystem maximin value {d.t_star:.3g} is too close to zero "
                     "to resolve")))
+            # negative: the subsystem is not persistent, no interior measure here
 
-    table = InvasionRateTable(
-        measures=list(measures), rates=np.array(rate_rows),
-        ci=np.array(ci_rows), n_species=n)
-    return BoundaryDiscovery(measures=measures, table=table, unresolved=unresolved)
+    return BoundaryDiscovery(measures=list(table.measures), table=table,
+                             unresolved=unresolved)
 
 
 def find_boundary_measures(model: KolmogorovModel,

@@ -32,7 +32,6 @@ from .expressions import (
     Expression,
     ExpressionSyntaxError,
     compile_expression,
-    expression_variables,
     format_expression,
     parse_expression,
     substitute_zero_and_remap,

@@ -1,9 +1,9 @@
 """Run reports and canonical JSON.
 
 Reports must be byte-identical across reruns with the same model and
-seed, whatever STOKOLMO_THREADS is set to.  Everything that is allowed
-into the written document is deterministic; wall-clock timing is kept on
-the report object for display but stays out of the serialized bytes.
+seed.  Everything that is allowed into the written document is
+deterministic; wall-clock timing is kept on the report object for
+display but stays out of the serialized bytes.
 Floats are rendered with a fixed "%.12g" so the text form cannot drift
 with library or platform printing changes.
 """

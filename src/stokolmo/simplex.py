@@ -6,9 +6,9 @@ the worst weighted invasion rate over the boundary measures:
     maximize t  subject to  sum_i p_i r[m, i] >= t  for every measure m,
                             sum_i p_i = 1,  p_i >= floor.
 
-Problem sizes here are tiny (species count times at most a few dozen
-measures), so a textbook dense tableau with Bland's anti-cycling rule is
-plenty and keeps the solver simple enough to trust.  The grid-search
+Tables have a column per species and a row per boundary measure, up to
+2^n - 1 rows (1023 at 10 species).  A textbook dense tableau with Bland's
+anti-cycling rule keeps the solver simple enough to trust.  The grid-search
 oracle in the test suite cross-checks it on random tables.
 """
 

@@ -17,6 +17,7 @@ import pytest
 from stokolmo import AnalysisBudget, classify, load_model
 from stokolmo.classify import maximin_weights
 from stokolmo.cli import main as cli_main
+from stokolmo import engine
 from stokolmo.engine import SimConfig, simulate_ensemble
 from stokolmo.foodchain import (chain_matrix, classify_food_chain,
                                 foodchain_to_model, load_food_chain)
@@ -262,13 +263,13 @@ def test_maximin_matches_grid_search():
     assert time.perf_counter() - t0 < 60
 
 
-# -- 8: reports are identical whatever the thread count -----------------------
+# -- 8: reports are identical whatever the block width ------------------------
 
-def test_reports_identical_across_thread_counts(tmp_path, monkeypatch, capsys):
+def test_reports_identical_across_block_widths(tmp_path, monkeypatch, capsys):
     blobs = []
-    for threads in ("1", "8"):
-        monkeypatch.setenv("STOKOLMO_THREADS", threads)
-        dest = tmp_path / f"report-{threads}threads.json"
+    for width in (64, 100):   # 3 blocks against 2 ragged ones
+        monkeypatch.setattr(engine, "_BLOCK", width)
+        dest = tmp_path / f"report-{width}wide.json"
         code = cli_main(["verify", model_path("lv_bistable"),
                          "--t", "80", "--paths", "192", "--seed", "5",
                          "--out", str(dest)])

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -5,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stokolmo.measures as measures_mod
 from stokolmo.classify import (PersistenceCertificate, PersistenceRefusal,
-                               check_persistence, classify, maximin_weights,
-                               partition_measures)
+                               check_extinction_measure, check_persistence,
+                               classify, maximin_weights, partition_measures)
+from stokolmo.engine import SimConfig
 from stokolmo.measures import AnalysisBudget, discover_boundary
 from stokolmo.model import parse_model
+from tests.test_measures import hand_table
 
 BUDGET = AnalysisBudget()
+# the package re-exports the classify function under the module's name
+classify_mod = importlib.import_module("stokolmo.classify")
 
 
 # -- persistence certificates --------------------------------------------------
@@ -137,6 +143,77 @@ def test_borderline_face_is_inconclusive():
     assert v.kind == "Inconclusive"
     assert "unresolved" in v.refusal.reason
     assert not v.refusal.decided
+
+
+def test_monte_carlo_sink_is_an_extinction():
+    # two_pred_one_prey written as expressions: the sink face {1, 2} is a
+    # Monte Carlo measure whose on-support rates are zero only up to noise
+    a = [4.0, -1.0, -2.0]
+    B = [[-1.0, -1.0, -1.0], [2.0, -1.0, -0.5], [0.5, -0.5, -1.0]]
+    f = [" ".join([repr(ai)] + [f"{'-' if c < 0 else '+'} {abs(c)!r}*x{j + 1}"
+                                for j, c in enumerate(row)])
+         for ai, row in zip(a, B)]
+    m = parse_model(json.dumps({"n": 3, "general": {"f": f, "g": ["1"] * 3},
+                                "sigma": np.eye(3).tolist()}))
+    budget = AnalysisBudget(face_sim=SimConfig(
+        n_paths=4, t_max=100.0, dt=1e-2, burn_in=10.0, seed=0))
+    v = classify(m, budget)
+    assert v.kind == "Extinction", v.refusal
+    assert v.partition.sinks == ["face_1_2"]
+    sink = v.discovery.measures[[mu.key for mu in v.discovery.measures].index("face_1_2")]
+    assert sink.kind == "empirical"
+
+
+# -- one decision rule ------------------------------------------------------------
+
+def test_one_binding_rule_for_every_caller():
+    # row 1 binds only under the margin-scaled slack; its band then exceeds
+    # t*, and every caller reads the same unresolved decision
+    t = hand_table([(), (), ()], [[0.2], [0.2 + 1e-10], [0.2 + 1e-6]],
+                   [[0.0], [0.2 + 5e-11], [0.2]])
+    refusal = check_persistence(t)
+    assert isinstance(refusal, PersistenceRefusal) and not refusal.decided
+    assert "inside the Monte Carlo uncertainty 0.2" in refusal.reason
+    assert partition_measures(t).repulsion == "undecidable"
+
+
+def test_undecidable_refusal_names_first_entry():
+    t = hand_table([(), (1,), (2,)],
+                   [[1.0, 1.0, 1.0], [0.3, 0.0, 0.05], [0.02, 0.3, 0.0]],
+                   [[0.0, 0.0, 0.0], [0.0, 0.0, 0.1], [0.1, 0.0, 0.0]])
+    refusal = check_persistence(t)
+    assert (refusal.measure, refusal.species) == ("face_2", 3)
+    assert refusal.reason == ("invasion rate of species 3 against face_2 is "
+                              "0.05 with uncertainty 0.1: not sign-decidable")
+
+
+def test_survivor_margin_is_the_discovery_margin(bundled, monkeypatch):
+    seen = []
+    real = measures_mod.maximin_decision
+
+    def spy(table, rows=None, cols=None, decision_tol=1e-9):
+        d = real(table, rows, cols, decision_tol)
+        seen.append((None if cols is None else tuple(cols), d))
+        return d
+
+    monkeypatch.setattr(measures_mod, "maximin_decision", spy)
+    monkeypatch.setattr(classify_mod, "maximin_decision", spy)
+    compared = 0
+    for name, model in bundled.items():
+        seen.clear()
+        disc = discover_boundary(model, BUDGET)
+        at_discovery = dict(seen)
+        for k, mu in enumerate(disc.measures):
+            if not mu.support:
+                continue
+            seen.clear()
+            check_extinction_measure(disc.table, k, BUDGET)
+            survivor = [d for cols, d in seen if cols == mu.support]
+            if survivor:
+                assert survivor[0].t_star == at_discovery[mu.support].t_star, (name, mu.key)
+                assert survivor[0].band == at_discovery[mu.support].band
+                compared += 1
+    assert compared >= 3
 
 
 # -- verdict document ------------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from stokolmo.cli import main
+from stokolmo.engine import EngineError
+from stokolmo.simplex import SimplexError
 from tests.conftest import model_path
 
 
@@ -163,3 +165,22 @@ def test_invalid_model_document(capsys, tmp_path):
     code, out, err = run(capsys, "classify", str(p))
     assert code == 2
     assert json.loads(err.strip().splitlines()[-1])["error"] == "input"
+
+
+@pytest.mark.parametrize("target,error", [
+    ("stokolmo.measures.solve_maximin", SimplexError),
+    ("stokolmo.cli.simulate_path", EngineError),
+])
+def test_library_errors_are_json_and_exit_2(capsys, monkeypatch, target, error):
+    def fail(*args, **kwargs):
+        raise error("forced failure")
+
+    monkeypatch.setattr(target, fail)
+    argv = ("classify" if error is SimplexError else "simulate",
+            model_path("lv_coexist"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error.__name__,
+                                    "message": "forced failure"}

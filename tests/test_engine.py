@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stokolmo import engine
 from stokolmo.engine import (EngineError, GridSpec, SimConfig,
                              empirical_lyapunov, occupation_histogram,
                              simulate_ensemble, simulate_path)
@@ -40,17 +41,22 @@ def test_bad_x0_rejected():
             simulate_ensemble(LOGISTIC, np.array(x0, dtype=float), cfg)
 
 
-def test_thread_count_cannot_change_results(monkeypatch):
-    cfg = SimConfig(n_paths=130, t_max=6.0, burn_in=1.0, seed=42)  # 3 blocks
-    runs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("STOKOLMO_THREADS", threads)
-        runs.append(simulate_ensemble(LOGISTIC, X0, cfg))
-    a, b = runs
-    assert np.array_equal(a.y_end, b.y_end)
-    assert np.array_equal(a.exponents, b.exponents)
-    assert np.array_equal(a.histogram.masses, b.histogram.masses)
-    assert np.array_equal(a.mean_state, b.mean_state)
+def test_block_width_cannot_change_results(monkeypatch):
+    cfg = SimConfig(n_paths=130, t_max=6.0, burn_in=1.0, seed=42)
+    for model in (LOGISTIC, corr_model(0.5)):
+        x0 = np.ones(model.n)
+        runs = []
+        for width in (7, 64):     # 19 ragged blocks against 3
+            monkeypatch.setattr(engine, "_BLOCK", width)
+            runs.append(simulate_ensemble(model, x0, cfg))
+        a, b = runs
+        for name in ("y_end", "t_end", "y_burn", "exponents", "mean_state",
+                     "mean_sq_state", "path_mean_state"):
+            assert np.array_equal(getattr(a, name), getattr(b, name),
+                                  equal_nan=True), name
+        assert np.array_equal(a.histogram.masses, b.histogram.masses)
+        for wa, wb in zip(a.window_histograms, b.window_histograms):
+            assert np.array_equal(wa.masses, wb.masses)
 
 
 def test_same_seed_reproduces_exactly():
@@ -156,13 +162,6 @@ def test_window_histograms_cover_disjoint_spans():
     assert len(stats.window_histograms) == 4
     total = sum(w.total_weight for w in stats.window_histograms)
     assert np.isclose(total, stats.histogram.total_weight)
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    monkeypatch.setenv("STOKOLMO_THREADS", "many")
-    cfg = SimConfig(n_paths=2, t_max=1.0, burn_in=0.0)
-    with pytest.raises(EngineError):
-        simulate_ensemble(LOGISTIC, X0, cfg)
 
 
 def test_grid_spec_edges():

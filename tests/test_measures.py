@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from stokolmo.engine import SimConfig
-from stokolmo.measures import (AnalysisBudget, DensityError, MeasureError,
-                               _face_seed, discover_boundary,
-                               find_boundary_measures, invasion_rates,
-                               lv_face_equilibrium, measure_rates,
+from stokolmo.measures import (AnalysisBudget, DensityError, ErgodicMeasure,
+                               InvasionRateTable, MeasureError, _face_seed,
+                               discover_boundary, find_boundary_measures,
+                               invasion_rates, lv_face_equilibrium,
+                               maximin_decision, measure_rates,
                                stationary_density_1d, t_quantile_975)
 from stokolmo.model import parse_model
 from stokolmo.quadrature import adaptive_simpson
@@ -156,6 +157,76 @@ def test_rates_for_lp_pins_support_entries(bundled):
     for k, mu in enumerate(table.measures):
         for i in mu.support:
             assert pinned[k, i] == 0.0
+
+
+def hand_table(supports, rates, ci) -> InvasionRateTable:
+    rates = np.array(rates, dtype=float)
+    measures = [ErgodicMeasure(support=tuple(s), kind="empirical",
+                               provenance="monte-carlo",
+                               moments=np.zeros(rates.shape[1]))
+                for s in supports]
+    return InvasionRateTable(measures=measures, rates=rates,
+                             ci=np.array(ci, dtype=float),
+                             n_species=rates.shape[1])
+
+
+def test_lp_view_pins_support_rates_and_half_widths():
+    t = hand_table([(), (0,)], [[1.0, 2.0], [0.03, -0.5]],
+                   [[0.0, 0.0], [0.1, 0.2]])
+    rates, ci, first = t.lp_view()
+    assert np.array_equal(rates, [[1.0, 2.0], [0.0, -0.5]])
+    assert np.array_equal(ci, [[0.0, 0.0], [0.0, 0.2]])
+    assert first is None    # the on-support 0.03 +- 0.1 does not count
+    rates, ci, first = t.lp_view([1], [1])
+    assert np.array_equal(rates, [[-0.5]]) and np.array_equal(ci, [[0.2]])
+
+
+def test_rows_below_are_proper_subfaces():
+    t = hand_table([(), (0,), (1,), (0, 1), (2,)], np.zeros((5, 3)),
+                   np.zeros((5, 3)))
+    assert t.rows_below((0, 1)).tolist() == [0, 1, 2]
+    assert t.rows_below((0,)).tolist() == [0]
+
+
+def test_binding_slack_scales_with_margin():
+    # the second row sits 1e-10 above t* = 0.2: outside a fixed 1e-12
+    # slack but inside 1e-12 + 1e-9 |t*|, so it binds and its band
+    # (larger than t* itself) leaves the sign unresolved; the third row
+    # is clear of both slacks and does not bind
+    t = hand_table([(), (), ()], [[0.2], [0.2 + 1e-10], [0.2 + 1e-6]],
+                   [[0.0], [0.2 + 5e-11], [0.2]])
+    d = maximin_decision(t)
+    assert d.t_star == 0.2
+    assert d.binding.tolist() == [0, 1]
+    assert d.band == 0.2 + 5e-11
+    assert d.decision == "unresolved"
+    assert d.undecidable is None
+
+
+def test_band_excludes_on_support_half_widths():
+    # the on-support entries carry Monte Carlo noise of half width 0.6;
+    # counted, the band 0.3 would swamp t* = 0.25
+    t = hand_table([(), (0,), (1,)],
+                   [[1.0, 1.0], [0.05, 0.5], [0.5, -0.04]],
+                   [[0.0, 0.0], [0.6, 0.0], [0.0, 0.6]])
+    d = maximin_decision(t)
+    assert d.t_star == pytest.approx(0.25)
+    assert d.binding.tolist() == [1, 2]
+    assert d.band == 0.0
+    assert d.decision == "positive"
+
+
+def test_first_undecidable_entry_in_measure_species_order():
+    t = hand_table([(), (0,), (1,), (2,)],
+                   [[1.0, 1.0, 1.0], [0.01, 0.5, 0.5],
+                    [0.3, 0.0, 0.05], [0.02, 0.3, 0.0]],
+                   [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
+                    [0.0, 0.0, 0.1], [0.1, 0.0, 0.0]])
+    d = maximin_decision(t)
+    assert d.decision == "undecidable" and d.undecidable == (2, 2)
+    assert d.p is None and d.t_star is None
+    assert maximin_decision(t, cols=[0, 1]).undecidable == (3, 0)
+    assert maximin_decision(t, rows=[0, 1], cols=[0, 1]).undecidable is None
 
 
 def test_invasion_rates_needs_measures(bundled):
