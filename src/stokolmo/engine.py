@@ -12,22 +12,27 @@ arithmetic does not depend on how paths are grouped, so an ensemble
 gives bitwise identical results for any block width; all cross-path
 reductions happen in fixed path order after the fact.
 
-Paths are stepped in blocks vectorized across paths.  A path
-that crosses the blow-up threshold halts (its terminal state and time
-are recorded and it is frozen out of further arithmetic); crossing the
-extinction threshold is only flagged, since in log coordinates nothing
-bad happens numerically when a species keeps decaying.
+Paths are stepped in blocks of up to ``_BLOCK`` paths, vectorized
+across paths: an ensemble keeps running reductions per block, stored
+paths (:func:`simulate_paths`) keep every state.  A path that crosses
+the blow-up threshold halts (its terminal state and time are recorded
+and it is frozen out of further arithmetic); crossing the extinction
+threshold is only flagged, since in log coordinates nothing bad happens
+numerically when a species keeps decaying.  Once every path of a block
+has halted the block stops stepping at once.  A noise amplitude given as
+expressions that hold no variable is evaluated once per block, at its
+first step, and reused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .expressions import ExpressionDomainError
-from .model import ConstantNoise, KolmogorovModel
+from .expressions import ExpressionDomainError, expression_variables
+from .model import ConstantNoise, ExprNoise, KolmogorovModel
 
 _CHUNK = 4096   # time steps integrated per noise batch; fixed for reproducibility
 _BLOCK = 64     # paths per vectorized block
@@ -139,6 +144,7 @@ class Trajectory:
     seed: int
     blowup_time: float | None     # time integration halted, None if it ran out
     extinct_times: np.ndarray     # (n,) first crossing of the extinction threshold, nan if never
+    error: str | None = None      # why the path was aborted, None if it was not
 
     @property
     def n_species(self) -> int:
@@ -198,7 +204,7 @@ class EnsembleStats:
         return mean, se
 
 
-def _generators(seed: int, path_ids: range):
+def _generators(seed: int, path_ids: Sequence[int]):
     return [
         np.random.Generator(np.random.Philox(
             key=np.array([seed & _MASK64, pid & _MASK64], dtype=np.uint64)))
@@ -217,7 +223,7 @@ class _BlockOut:
     sum_x2: np.ndarray
     stats_steps: np.ndarray
     hist_counts: np.ndarray       # (windows, n, bins + 2)
-    states: np.ndarray | None
+    states: np.ndarray | None     # (P, n_steps + 1, n), filled up to each halt step
     errors: dict[int, str]
 
 
@@ -230,7 +236,7 @@ def _freeze(rows, Y, terminal, t_end, halt_step, active, step, dt):
 
 
 def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
-               path_ids: range, store_states: bool = False) -> _BlockOut:
+               path_ids: Sequence[int], store_states: bool = False) -> _BlockOut:
     n = model.n
     P = len(path_ids)
     n_steps = cfg.n_steps
@@ -248,6 +254,11 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     if const_noise:
         g_const = model.noise.g
         ito_const = 0.5 * sig_diag * g_const ** 2
+    # state-free expression noise: evaluated at the first step only, but
+    # kept on the expression-path formula below so the bits do not move
+    state_free_noise = (isinstance(model.noise, ExprNoise) and not any(
+        expression_variables(e) for e in model.noise.exprs))
+    G = None
 
     gens = _generators(cfg.seed, path_ids)
     Y = np.tile(y0, (P, 1))
@@ -267,8 +278,8 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     errors: dict[int, str] = {}
     states = None
     if store_states:
-        states = np.empty((n_steps + 1, P, n))
-        states[0] = Y
+        states = np.empty((P, n_steps + 1, n))
+        states[:, 0] = Y
     if burn_idx == 0:
         y_burn[:] = Y
 
@@ -280,23 +291,24 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             try:
                 return fn(X)
             except ExpressionDomainError as exc:
-                bad = []
+                # each path keeps its own error, so messages ignore the block layout
+                bad = {}
                 for p in range(P):
                     if not active[p]:
                         continue
                     try:
                         fn(X[p])
-                    except ExpressionDomainError:
-                        bad.append(p)
+                    except ExpressionDomainError as path_exc:
+                        bad[p] = path_exc
                 if not bad:
                     raise EngineError(
                         f"domain error evaluating {kind} at t={step * dt:.6g}: {exc}"
                     ) from exc
-                for p in bad:
+                for p, path_exc in bad.items():
                     errors[path_ids[p]] = (
-                        f"domain error evaluating {kind} at t={step * dt:.6g}: {exc}"
+                        f"domain error evaluating {kind} at t={step * dt:.6g}: {path_exc}"
                     )
-                rows = np.array(bad, dtype=int)
+                rows = np.array(list(bad), dtype=int)
                 _freeze(rows, Y, terminal, t_end, halt_step, active, step, dt)
                 actf[:] = active.astype(float)
                 X[rows] = 1.0  # parked state, consistent with Y = 0
@@ -324,7 +336,8 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             if const_noise:
                 dY = (F - ito_const) * dt + mixed[k] * sqrt_dt
             else:
-                G = eval_with_isolation("noise", X, gstep)
+                if G is None or not state_free_noise:
+                    G = eval_with_isolation("noise", X, gstep)
                 dY = (F - 0.5 * sig_diag * G * G) * dt + G * mixed[k] * sqrt_dt
             Y += dY * actf[:, None]
             over = active & (Y.max(axis=1) > cfg.blowup_log_threshold)
@@ -337,7 +350,12 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 y_burn[active] = Y[active]
             ybuf[k] = Y
             if store_states:
-                states[gstep] = Y
+                states[:, gstep] = Y
+            if not active.any():
+                # every path halted: the remaining steps would all be masked out
+                K = k + 1
+                ybuf = ybuf[:K]
+                break
 
         gsteps = np.arange(step + 1, step + K + 1)
         valid = gsteps[:, None] < halt_step[None, :]          # (K, P)
@@ -371,18 +389,15 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                     )
         step += K
         if not active.any():
-            # every path halted; outputs are frozen, the rest is dead stepping
             break
 
     # paths that ran to the horizon keep their final state as terminal
     ran_out = halt_step > n_steps
     terminal[ran_out] = Y[ran_out]
-    if store_states is not None and states is not None:
-        # frozen rows hold the parked value after halt; rewrite with terminal
-        for p in range(P):
-            hs = halt_step[p]
-            if hs <= n_steps:
-                states[hs:, p, :] = terminal[p]
+    if store_states:
+        # a halted row stored the parked value at its halt step; rewrite it
+        for p in np.flatnonzero(~ran_out):
+            states[p, halt_step[p]] = terminal[p]
     return _BlockOut(
         y_end=terminal, t_end=t_end, y_burn=y_burn, blow_time=blow_time,
         extinct_time=extinct_time, sum_x=sum_x, sum_x2=sum_x2,
@@ -400,29 +415,47 @@ def _check_x0(model: KolmogorovModel, x0) -> np.ndarray:
     return x0
 
 
-def simulate_path(model: KolmogorovModel, x0, cfg: SimConfig,
-                  path_id: int = 0) -> Trajectory:
-    """Integrate one path, storing the full log-space trajectory.
+def simulate_paths(model: KolmogorovModel, x0, cfg: SimConfig,
+                   path_ids: Sequence[int]) -> list[Trajectory]:
+    """Integrate the given paths, storing each full log-space trajectory.
 
-    The result is bitwise identical to member ``path_id`` of an ensemble
-    run with the same seed, because the noise stream is keyed by
-    (seed, path_id) alone.
+    Paths run together, ``_BLOCK`` at a time, and each is bitwise
+    identical to the same member of an ensemble run with the same seed,
+    because its noise stream is keyed by (seed, path id) alone.  A block
+    holds every state while it runs, (n_steps + 1) x paths x n floats:
+    4 paths of a 2-species face over 500 000 steps take 32 MB.  A path
+    aborted by a domain error comes back cut at the abort, with
+    ``error`` set.
     """
     x0 = _check_x0(model, x0)
     y0 = np.log(x0)
-    out = _run_block(model, y0, cfg, range(path_id, path_id + 1), store_states=True)
-    if out.errors:
-        raise EngineError(out.errors[path_id])
-    n_steps = cfg.n_steps
-    times = cfg.dt * np.arange(n_steps + 1)
-    blow = None if np.isnan(out.blow_time[0]) else float(out.blow_time[0])
-    halt_steps = int(round(out.t_end[0] / cfg.dt))
-    return Trajectory(
-        times=times[: halt_steps + 1],
-        log_states=out.states[: halt_steps + 1, 0, :].copy(),
-        x0=x0, dt=cfg.dt, path_id=path_id, seed=cfg.seed,
-        blowup_time=blow, extinct_times=out.extinct_time[0].copy(),
-    )
+    ids = list(path_ids)
+    times = cfg.dt * np.arange(cfg.n_steps + 1)
+    trajs = []
+    for s in range(0, len(ids), _BLOCK):
+        block = ids[s:s + _BLOCK]
+        out = _run_block(model, y0, cfg, block, store_states=True)
+        for p, pid in enumerate(block):
+            halt_steps = int(round(out.t_end[p] / cfg.dt))
+            blow = out.blow_time[p]
+            trajs.append(Trajectory(
+                times=times[: halt_steps + 1],
+                log_states=out.states[p, : halt_steps + 1],
+                x0=x0, dt=cfg.dt, path_id=pid, seed=cfg.seed,
+                blowup_time=None if np.isnan(blow) else float(blow),
+                extinct_times=out.extinct_time[p].copy(),
+                error=out.errors.get(pid),
+            ))
+    return trajs
+
+
+def simulate_path(model: KolmogorovModel, x0, cfg: SimConfig,
+                  path_id: int = 0) -> Trajectory:
+    """:func:`simulate_paths` for one path; an aborted path raises."""
+    traj = simulate_paths(model, x0, cfg, [path_id])[0]
+    if traj.error is not None:
+        raise EngineError(traj.error)
+    return traj
 
 
 def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig) -> EnsembleStats:

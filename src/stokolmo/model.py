@@ -136,8 +136,8 @@ class KolmogorovModel:
                 for j in range(self.n):
                     out = out + x[j] * B[:, j]
                 return out
-            out = np.tile(a, (x.shape[0], 1))
-            for j in range(self.n):
+            out = a + x[:, 0:1] * B[:, 0]
+            for j in range(1, self.n):
                 out += x[:, j : j + 1] * B[:, j]
             return out
         cols = [x[..., j] for j in range(self.n)]

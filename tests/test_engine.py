@@ -167,3 +167,97 @@ def test_window_histograms_cover_disjoint_spans():
 def test_grid_spec_edges():
     g = GridSpec(lo=-2.0, hi=2.0, bins=4)
     assert np.allclose(g.edges(), [-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
+# -- stored paths run as one block --------------------------------------------
+
+COOP = parse_model(json.dumps({
+    "n": 2, "lv": {"a": [2.0, 2.0], "B": [[-1.0, 2.0], [2.0, -1.0]],
+                   "g": [1.0, 1.0]}, "sigma": np.eye(2).tolist()}))
+
+
+def expr_model(g):
+    """Competitive 2-species LV dynamics written as expressions."""
+    return parse_model(json.dumps({
+        "n": 2, "general": {"f": ["3 - 2*x1 - x2", "3 - x1 - 2*x2"], "g": g},
+        "sigma": [[1.0, 0.3], [0.3, 1.0]]}))
+
+
+def assert_same_trajectory(a, b):
+    assert a.path_id == b.path_id
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.log_states, b.log_states)
+    assert a.blowup_time == b.blowup_time
+    assert np.array_equal(a.extinct_times, b.extinct_times, equal_nan=True)
+    assert a.error == b.error
+
+
+@pytest.mark.parametrize("model,cfg", [
+    (expr_model(["1", "0.5 + 0.1*x1"]),
+     SimConfig(n_paths=6, t_max=12.0, dt=1e-2, burn_in=1.0, seed=3)),
+    (COOP, SimConfig(n_paths=6, t_max=50.0, burn_in=1.0, seed=0)),
+])
+def test_simulate_paths_matches_single_path_runs(monkeypatch, model, cfg):
+    monkeypatch.setattr(engine, "_BLOCK", 4)      # ids 1..6 in two ragged blocks
+    ids = range(1, 7)
+    block = engine.simulate_paths(model, np.ones(2), cfg, ids)
+    assert [t.path_id for t in block] == list(ids)
+    for traj in block:
+        assert_same_trajectory(traj, simulate_path(model, np.ones(2), cfg, traj.path_id))
+    if model is COOP:
+        # every path blew up, at different steps, while the block kept going
+        assert all(t.blowup_time is not None for t in block)
+        assert len({t.times.shape[0] for t in block}) > 1
+
+
+def test_aborted_path_carries_its_error():
+    # species 1 aborts once x1 passes 4; the other paths run to the end
+    m = parse_model(json.dumps({
+        "n": 2, "general": {"f": ["1 - 0.2*x1", "1 - x2"],
+                            "g": ["sqrt(4 - x1)", "1"]},
+        "sigma": np.eye(2).tolist()}))
+    cfg = SimConfig(n_paths=6, t_max=20.0, dt=1e-2, burn_in=1.0, seed=2)
+    trajs = engine.simulate_paths(m, np.ones(2), cfg, range(6))
+    aborted = [t for t in trajs if t.error is not None]
+    assert aborted and len(aborted) < len(trajs)
+    for traj in aborted:
+        assert "sqrt of negative argument in 'sqrt(4 - x1)'" in traj.error
+        assert traj.t_end < cfg.t_max
+        with pytest.raises(EngineError) as exc:
+            simulate_path(m, np.ones(2), cfg, traj.path_id)
+        assert str(exc.value) == traj.error
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    orig = getattr(engine.KolmogorovModel, name)
+
+    def counted(self, x):
+        calls.append(1)
+        return orig(self, x)
+
+    monkeypatch.setattr(engine.KolmogorovModel, name, counted)
+    return calls
+
+
+def test_state_free_noise_is_evaluated_once_per_block(monkeypatch):
+    cfg = SimConfig(n_paths=10, t_max=6.0, dt=1e-2, burn_in=1.0, seed=5)
+    ref = simulate_ensemble(expr_model(["1", "1 + 0*x1"]), np.ones(2), cfg)
+    monkeypatch.setattr(engine, "_BLOCK", 4)
+    calls = count_calls(monkeypatch, "noise_amp_at")
+    stats = simulate_ensemble(expr_model(["1", "1"]), np.ones(2), cfg)
+    assert len(calls) == 3
+    for name in ("y_end", "t_end", "y_burn", "exponents", "mean_state",
+                 "mean_sq_state", "path_mean_state"):
+        assert np.array_equal(getattr(stats, name), getattr(ref, name),
+                              equal_nan=True), name
+    assert np.array_equal(stats.histogram.masses, ref.histogram.masses)
+
+
+def test_halted_block_stops_stepping(monkeypatch):
+    cfg = SimConfig(n_paths=8, t_max=50.0, burn_in=1.0, seed=0)
+    calls = count_calls(monkeypatch, "drift_at")
+    stats = simulate_ensemble(COOP, np.ones(2), cfg)
+    last_halt = int(np.rint(stats.t_end / cfg.dt).max())
+    assert last_halt < engine._CHUNK          # every path halted in the first chunk
+    assert len(calls) <= last_halt

@@ -1,17 +1,18 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from stokolmo.engine import SimConfig
+from stokolmo.engine import EngineError, SimConfig, simulate_path
 from stokolmo.measures import (AnalysisBudget, DensityError, ErgodicMeasure,
-                               InvasionRateTable, MeasureError, _face_seed,
-                               discover_boundary, find_boundary_measures,
+                               InvasionRateTable, MeasureError, _empirical_measure,
+                               _face_seed, discover_boundary, find_boundary_measures,
                                invasion_rates, lv_face_equilibrium,
                                maximin_decision, measure_rates,
                                stationary_density_1d, t_quantile_975)
-from stokolmo.model import parse_model
+from stokolmo.model import parse_model, restrict_to_face
 from stokolmo.quadrature import adaptive_simpson
 
 
@@ -314,6 +315,77 @@ def test_empirical_face_measure_matches_lv_truth():
     assert abs(lam3 - (-4.0 / 3.0)) <= 5.0 * ci3 + 0.02
     # zero-rate identity on the support was enforced during construction
     assert mu.residual <= max(np.max(disc.table.ci[k, :2]), 1e-10)
+
+
+def reference_batches(model, face, budget):
+    """Batch means of a face measure, one stored path at a time."""
+    fmodel = restrict_to_face(model, face)
+    cfg = dataclasses.replace(budget.face_sim,
+                              seed=_face_seed(budget.face_sim.seed, face))
+    per_path = max(1, budget.batches // cfg.n_paths)
+    diag = np.diag(model.sigma)
+    rates, moments = [], []
+    for pid in range(cfg.n_paths):
+        traj = simulate_path(fmodel, np.ones(fmodel.n), cfg, path_id=pid)
+        if traj.blowup_time is not None:
+            raise MeasureError("blow-up threshold")
+        if np.any(np.isfinite(traj.extinct_times)):
+            raise MeasureError("extinction threshold")
+        Xf = np.exp(traj.log_states[cfg.burn_steps + 1:])
+        S = (Xf.shape[0] // per_path) * per_path
+        Xf = Xf[:S]
+        X = np.zeros((S, model.n))
+        X[:, list(face)] = Xf
+        G = model.noise_amp_at(X)
+        integ = model.drift_at(X) - 0.5 * diag * G * G
+        for seg in np.split(np.arange(S), per_path):
+            rates.append(integ[seg].mean(axis=0))
+            moments.append(Xf[seg].mean(axis=0))
+    return np.array(rates), np.array(moments)
+
+
+def test_empirical_measure_matches_path_by_path_batches():
+    m = parse_model(json.dumps({
+        "n": 3,
+        "general": {"f": ["3 - 2*x1 - x2 - 0.1*x3", "3 - x1 - 2*x2 - 0.1*x3",
+                          "-1 + 0.1*x1 + 0.1*x2 - x3"],
+                    "g": ["1", "1 + 0.1*x1", "1"]},
+        "sigma": np.eye(3).tolist()}))
+    budget = AnalysisBudget(face_sim=SimConfig(
+        n_paths=3, t_max=30.0, dt=1e-2, burn_in=5.0, seed=1), batches=7)
+    br, bm = reference_batches(m, (0, 1), budget)
+    payload = _empirical_measure(m, (0, 1), budget).empirical
+    assert br.shape == (6, 3)
+    assert np.array_equal(payload.batch_rates, br)
+    assert np.array_equal(payload.batch_moments, bm)
+
+
+# paths on face {1, 2} end in every way: clean, blow-up, extinction, and a
+# domain error once x1 passes 4
+FRAGILE = parse_model(json.dumps({
+    "n": 3,
+    "general": {"f": ["1 - 0.2*x1", "0.1 + 0.1*x2", "-1"],
+                "g": ["sqrt(4 - x1)", "0.7", "1"]},
+    "sigma": np.eye(3).tolist()}))
+
+
+def test_empirical_measure_raises_the_first_failure_in_path_order():
+    kinds = []
+    for seed in range(6):
+        budget = AnalysisBudget(face_sim=SimConfig(
+            n_paths=6, t_max=20.0, dt=1e-2, burn_in=1.0, seed=seed))
+        with pytest.raises((EngineError, MeasureError)) as ref:
+            reference_batches(FRAGILE, (0, 1), budget)
+        with pytest.raises(type(ref.value)) as got:
+            _empirical_measure(FRAGILE, (0, 1), budget)
+        if isinstance(ref.value, EngineError):
+            assert str(got.value) == str(ref.value)
+            kinds.append("domain error")
+        else:
+            assert str(ref.value) in str(got.value)
+            kinds.append(str(ref.value))
+    # the seeds cover a domain error first and a threshold crossing first
+    assert "domain error" in kinds and len(set(kinds)) > 1
 
 
 def test_face_seed_distinct_and_stable():
