@@ -70,8 +70,7 @@ def main() -> int:
         print(line)
         report = RunReport(
             model=model.to_json_dict(), verdict=verdict.to_json_dict(),
-            assumptions=verdict.assumptions.to_json_dict(), seed=cfg.seed,
-            tool_version=__version__,
+            seed=cfg.seed, tool_version=__version__,
             verification=None if verification is None else verification.to_json_dict())
         write_report(report, str(outdir / f"{name}.json"))
 

@@ -55,29 +55,27 @@ class AssumptionReport:
         }
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Where to probe pointwise conditions: a box grid plus random fill."""
-
-    radius: float = 10.0
-    random_points: int = 100
-    seed: int = 2024
+# pointwise conditions are probed on a box [0, radius]^n: a grid plus a
+# random fill of this many points from this seed
+_SAMPLE_RADIUS = 10.0
+_SAMPLE_RANDOM_POINTS = 100
+_SAMPLE_SEED = 2024
 
 
-def _sample_points(n: int, spec: SampleSpec) -> np.ndarray:
+def _sample_points(n: int) -> np.ndarray:
     # grid including the faces (coordinates exactly 0) plus uniform fill;
     # at least 100 points total regardless of dimension
     per_axis = max(2, int(np.ceil(100 ** (1.0 / n))))
     per_axis = min(per_axis, 12)
-    axes = [np.linspace(0.0, spec.radius, per_axis) for _ in range(n)]
+    axes = [np.linspace(0.0, _SAMPLE_RADIUS, per_axis) for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    rng = np.random.Generator(np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64)))
-    rand = rng.uniform(0.0, spec.radius, size=(max(spec.random_points, 100), n))
+    rng = np.random.Generator(np.random.Philox(key=np.array([_SAMPLE_SEED, 0], dtype=np.uint64)))
+    rand = rng.uniform(0.0, _SAMPLE_RADIUS, size=(_SAMPLE_RANDOM_POINTS, n))
     return np.vstack([grid, rand])
 
 
-def check_nondegeneracy(model: KolmogorovModel, spec: SampleSpec | None = None) -> AssumptionCheck:
+def check_nondegeneracy(model: KolmogorovModel) -> AssumptionCheck:
     """Sampled positive-definiteness of the diffusion matrix g_i g_j sigma_ij.
 
     The theory requires x^T A(x) x >= gamma ||x||^2 with A_ij(x) =
@@ -85,8 +83,7 @@ def check_nondegeneracy(model: KolmogorovModel, spec: SampleSpec | None = None) 
     boundary faces, where state-dependent amplitudes most often die) and
     random points, and report the worst eigenvalue with its witness.
     """
-    spec = spec or SampleSpec()
-    pts = _sample_points(model.n, spec)
+    pts = _sample_points(model.n)
     worst = np.inf
     worst_x = None
     for x in pts:
@@ -115,7 +112,7 @@ def check_nondegeneracy(model: KolmogorovModel, spec: SampleSpec | None = None) 
     return AssumptionCheck(
         name="nondegenerate-noise", status="heuristic-pass",
         detail=(f"state-dependent amplitudes: sampled minimum eigenvalue "
-                f"{worst:.6g} over {len(pts)} points in [0, {spec.radius}]^n"),
+                f"{worst:.6g} over {len(pts)} points in [0, {_SAMPLE_RADIUS}]^n"),
     )
 
 
@@ -332,10 +329,9 @@ def check_growth_condition(model: KolmogorovModel, delta1: float = 0.5,
     )
 
 
-def run_assumption_checks(model: KolmogorovModel,
-                          sample: SampleSpec | None = None) -> AssumptionReport:
+def run_assumption_checks(model: KolmogorovModel) -> AssumptionReport:
     return AssumptionReport(
-        nondegenerate=check_nondegeneracy(model, sample),
+        nondegenerate=check_nondegeneracy(model),
         tightness=check_tightness(model),
         growth=check_growth_condition(model),
     )

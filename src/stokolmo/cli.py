@@ -229,7 +229,6 @@ def _cmd_verify(args) -> int:
     report = RunReport(
         model=model.to_json_dict(),
         verdict=verdict.to_json_dict(),
-        assumptions=verdict.assumptions.to_json_dict(),
         seed=args.seed,
         tool_version=__version__,
         verification=None if verification is None else verification.to_json_dict(),

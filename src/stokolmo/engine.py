@@ -19,9 +19,7 @@ the blow-up threshold halts (its terminal state and time are recorded
 and it is frozen out of further arithmetic); crossing the extinction
 threshold is only flagged, since in log coordinates nothing bad happens
 numerically when a species keeps decaying.  Once every path of a block
-has halted the block stops stepping at once.  A noise amplitude given as
-expressions that hold no variable is evaluated once per block, at its
-first step, and reused.
+has halted the block stops stepping at once.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .expressions import ExpressionDomainError, expression_variables
-from .model import ConstantNoise, ExprNoise, KolmogorovModel
+from .expressions import ExpressionDomainError
+from .model import ConstantNoise, KolmogorovModel
 
 _CHUNK = 4096   # time steps integrated per noise batch; fixed for reproducibility
 _BLOCK = 64     # paths per vectorized block
@@ -254,11 +252,6 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     if const_noise:
         g_const = model.noise.g
         ito_const = 0.5 * sig_diag * g_const ** 2
-    # state-free expression noise: evaluated at the first step only, but
-    # kept on the expression-path formula below so the bits do not move
-    state_free_noise = (isinstance(model.noise, ExprNoise) and not any(
-        expression_variables(e) for e in model.noise.exprs))
-    G = None
 
     gens = _generators(cfg.seed, path_ids)
     Y = np.tile(y0, (P, 1))
@@ -336,8 +329,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             if const_noise:
                 dY = (F - ito_const) * dt + mixed[k] * sqrt_dt
             else:
-                if G is None or not state_free_noise:
-                    G = eval_with_isolation("noise", X, gstep)
+                G = eval_with_isolation("noise", X, gstep)
                 dY = (F - 0.5 * sig_diag * G * G) * dt + G * mixed[k] * sqrt_dt
             Y += dY * actf[:, None]
             over = active & (Y.max(axis=1) > cfg.blowup_log_threshold)

@@ -3,11 +3,12 @@
 Concrete syntax: numbers, variables ``x1 .. xn``, binary ``+ - * / ^``
 (``^`` is right associative exponentiation, ``**`` is accepted as an
 alias), unary minus, and the unary functions ``exp``, ``ln``, ``sqrt``.
-Whitespace is free.  Parsing reports syntax errors with the byte offset
-of the offending token; evaluation reports domain violations (division
-by zero, ``ln``/``sqrt`` off their domain, non-finite intermediate
-results) with the offending subexpression printed back, so a bad model
-file never turns into a silent NaN downstream.
+Whitespace is free.  Parsing reports syntax errors, nesting deeper than
+``_MAX_DEPTH`` levels included, with the byte offset of the offending
+token; evaluation reports domain violations (division by zero,
+``ln``/``sqrt`` off their domain, non-finite intermediate results) with
+the offending subexpression printed back, so a bad model file never
+turns into a silent NaN downstream.
 
 Evaluation accepts scalars or numpy arrays per variable and broadcasts
 elementwise, which is what the simulation engine feeds it (one array
@@ -16,7 +17,6 @@ across concurrent sample paths).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -146,7 +146,20 @@ def _tokenize(text: str):
     return tokens
 
 
+_MAX_DEPTH = 200   # deepest expression accepted, in levels (see _Parser)
+
+
 class _Parser:
+    """Recursive descent that measures the depth of what it builds.
+
+    A node, a pair of parentheses and a unary plus are one level each.
+    Each method gets the number of levels open around it and returns
+    (node, height); crossing ``_MAX_DEPTH`` levels is a syntax error at
+    that token, raised before the parser recurses deeper.  Parsing takes
+    three frames a level and every later tree walk one, so no input can
+    exhaust the interpreter stack.
+    """
+
     def __init__(self, text: str, n_vars: int):
         self.text = text
         self.n_vars = n_vars
@@ -167,71 +180,75 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def check(self, levels: int, tok):
+        if levels > _MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", tok[2])
+
     # expr := term (('+'|'-') term)*
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
+    def parse_expr(self, level: int):
+        node, h = self.parse_term(level)
         while self.peek()[0] == _TOK_OP and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            node = BinOp(op, node, self.parse_term())
-        return node
+            tok = self.advance()
+            right, hr = self.parse_term(level)
+            node, h = BinOp(tok[1], node, right), max(h, hr) + 1
+            self.check(level + h, tok)
+        return node, h
 
     # term := factor (('*'|'/') factor)*
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
+    def parse_term(self, level: int):
+        node, h = self.parse_factor(level)
         while self.peek()[0] == _TOK_OP and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            node = BinOp(op, node, self.parse_factor())
-        return node
+            tok = self.advance()
+            right, hr = self.parse_factor(level)
+            node, h = BinOp(tok[1], node, right), max(h, hr) + 1
+            self.check(level + h, tok)
+        return node, h
 
-    # factor := '-' factor | power
-    def parse_factor(self) -> Expression:
-        tok = self.peek()
-        if tok[0] == _TOK_OP and tok[1] == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        if tok[0] == _TOK_OP and tok[1] == "+":
-            self.advance()
-            return self.parse_factor()
-        return self.parse_power()
-
-    # power := atom ('^' factor)?   right associative, exponent may be signed
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        if self.peek()[0] == _TOK_OP and self.peek()[1] == "^":
-            self.advance()
-            return BinOp("^", base, self.parse_factor())
-        return base
-
-    def parse_atom(self) -> Expression:
+    # factor := ('-'|'+') factor | atom ('^' factor)?
+    # atom   := number | variable | fn '(' expr ')' | '(' expr ')'
+    # ^ is right associative and its exponent may be signed; atoms are
+    # parsed here, not in a method of their own, to save a frame per level
+    def parse_factor(self, level: int):
         tok = self.advance()
-        if tok[0] == _TOK_NUM:
-            return Num(tok[1])
-        if tok[0] == _TOK_LPAREN:
-            node = self.parse_expr()
+        kind, val, offset = tok
+        self.check(level + 1, tok)
+        if kind == _TOK_OP and val in "+-":
+            arg, h = self.parse_factor(level + 1)
+            return (Neg(arg) if val == "-" else arg), h + 1
+        if kind == _TOK_NUM:
+            node, h = Num(val), 1
+        elif kind == _TOK_LPAREN:
+            node, h = self.parse_expr(level + 1)
             self.expect(_TOK_RPAREN)
-            return node
-        if tok[0] == _TOK_IDENT:
-            name = tok[1]
-            if name in _FUNCTIONS:
-                self.expect(_TOK_LPAREN)
-                arg = self.parse_expr()
-                self.expect(_TOK_RPAREN)
-                return Call(name, arg)
-            if name.startswith("x") and name[1:].isdigit():
-                k = int(name[1:])
-                if not 1 <= k <= self.n_vars:
-                    raise ExpressionSyntaxError(
-                        f"variable {name} out of range 1..{self.n_vars}", tok[2]
-                    )
-                return Var(k - 1)
-            raise ExpressionSyntaxError(f"unknown identifier {name!r}", tok[2])
-        raise ExpressionSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+            h += 1
+        elif kind == _TOK_IDENT and val in _FUNCTIONS:
+            self.expect(_TOK_LPAREN)
+            arg, h = self.parse_expr(level + 1)
+            self.expect(_TOK_RPAREN)
+            node, h = Call(val, arg), h + 1
+        elif kind == _TOK_IDENT and val.startswith("x") and val[1:].isdigit():
+            k = int(val[1:])
+            if not 1 <= k <= self.n_vars:
+                raise ExpressionSyntaxError(
+                    f"variable {val} out of range 1..{self.n_vars}", offset)
+            node, h = Var(k - 1), 1
+        elif kind == _TOK_IDENT:
+            raise ExpressionSyntaxError(f"unknown identifier {val!r}", offset)
+        else:
+            raise ExpressionSyntaxError(f"unexpected token {val!r}", offset)
+        if self.peek()[0] == _TOK_OP and self.peek()[1] == "^":
+            tok = self.advance()
+            exponent, he = self.parse_factor(level + 1)
+            node, h = BinOp("^", node, exponent), max(h, he) + 1
+            self.check(level + h, tok)
+        return node, h
 
 
 def parse_expression(text: str, n_vars: int) -> Expression:
     """Parse ``text`` over variables x1..x{n_vars} into an expression tree."""
     p = _Parser(text, n_vars)
-    node = p.parse_expr()
+    node, _ = p.parse_expr(0)
     end = p.advance()
     if end[0] != _TOK_END:
         raise ExpressionSyntaxError(f"trailing input {end[1]!r}", end[2])
@@ -287,69 +304,14 @@ def _any(cond) -> bool:
     return bool(cond)
 
 
-def evaluate(e: Expression, x: Sequence[Value]) -> Value:
-    """Evaluate ``e`` with variable i bound to ``x[i]``.
+def compile_expression(e: Expression) -> Callable[[Sequence[Value]], Value]:
+    """Build a closure evaluating ``e`` with variable i bound to ``x[i]``.
 
     Components may be floats or equally shaped numpy arrays.  Division by
     zero, ``ln``/``sqrt`` outside their domain, and non-finite results of
-    ``exp``/``^`` raise :class:`ExpressionDomainError`.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x[e.index]
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x)
-    if isinstance(e, Call):
-        v = evaluate(e.arg, x)
-        if e.fn == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(v)
-            if _any(~np.isfinite(out)):
-                raise ExpressionDomainError("exp overflow", format_expression(e))
-            return out
-        if e.fn == "ln":
-            if _any(np.asarray(v) <= 0.0):
-                raise ExpressionDomainError(
-                    "ln of non-positive argument", format_expression(e)
-                )
-            return np.log(v)
-        if e.fn == "sqrt":
-            if _any(np.asarray(v) < 0.0):
-                raise ExpressionDomainError(
-                    "sqrt of negative argument", format_expression(e)
-                )
-            return np.sqrt(v)
-        raise TypeError(f"unknown function {e.fn}")
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, x)
-        b = evaluate(e.right, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if _any(np.asarray(b) == 0.0):
-                raise ExpressionDomainError("division by zero", format_expression(e))
-            return a / b
-        if e.op == "^":
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = np.power(a, b, dtype=np.float64) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else math.pow(a, b) if (a >= 0 or float(b).is_integer()) else float("nan")
-            if _any(~np.isfinite(out)):
-                raise ExpressionDomainError(
-                    "power outside real domain or overflow", format_expression(e)
-                )
-            return out
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def compile_expression(e: Expression) -> Callable[[Sequence[Value]], Value]:
-    """Build a closure evaluating ``e``; same semantics as :func:`evaluate`.
-
-    The compiled form avoids the per-node dispatch cost, which matters on
-    the integrator hot path where the tree is evaluated every time step.
+    ``exp``/``^`` raise :class:`ExpressionDomainError`.  Each node becomes
+    one closure, so the integrator hot path, which evaluates the tree every
+    time step, pays no per-node dispatch.
     """
     if isinstance(e, Num):
         v = e.value

@@ -28,7 +28,7 @@ zeros; for k = j*+1 this is just I_{j*+1}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,8 +126,10 @@ def chain_matrix(params: FoodChainParams, depth: int) -> tuple[np.ndarray, np.nd
     return T, b
 
 
-def classify_food_chain(params: FoodChainParams,
-                        borderline_tol: float = 1e-9) -> FoodChainVerdict:
+_BORDERLINE_TOL = 1e-9    # a rate this close to zero is too close to classify
+
+
+def classify_food_chain(params: FoodChainParams) -> FoodChainVerdict:
     """Persistence depth of the chain, with every quantity it rests on."""
     n = params.n
     at = params.a_tilde()
@@ -135,12 +137,15 @@ def classify_food_chain(params: FoodChainParams,
     equilibria: list[np.ndarray] = []
     worst_residual = 0.0
 
-    if abs(at[0]) <= borderline_tol:
+    def refuse(depth: int, reason: str) -> FoodChainVerdict:
         return FoodChainVerdict(
-            kind="Inconclusive", j_star=0, a_tilde=at, invasion_rates=rates,
-            equilibria=[], extinction_rates=np.zeros(0), residual=0.0,
-            reason=(f"adjusted prey growth rate {at[0]:.3g} is numerically zero; "
-                    "the chain sits on the collapse boundary"))
+            kind="Inconclusive", j_star=depth, a_tilde=at, invasion_rates=rates,
+            equilibria=equilibria, extinction_rates=np.zeros(0),
+            residual=worst_residual, reason=reason)
+
+    if abs(at[0]) <= _BORDERLINE_TOL:
+        return refuse(0, (f"adjusted prey growth rate {at[0]:.3g} is numerically zero; "
+                          "the chain sits on the collapse boundary"))
 
     j_star = 0
     if at[0] > 0.0:
@@ -151,37 +156,21 @@ def classify_food_chain(params: FoodChainParams,
             try:
                 x = np.linalg.solve(T, b)
             except np.linalg.LinAlgError:
-                return FoodChainVerdict(
-                    kind="Inconclusive", j_star=j_star, a_tilde=at,
-                    invasion_rates=rates, equilibria=equilibria,
-                    extinction_rates=np.zeros(0), residual=worst_residual,
-                    reason=f"depth-{j} equilibrium system is singular")
+                return refuse(j_star, f"depth-{j} equilibrium system is singular")
             scale = max(1.0, float(np.max(np.abs(T))), float(np.max(np.abs(b))))
             res = float(np.max(np.abs(T @ x - b)))
             worst_residual = max(worst_residual, res)
             if res > 1e-10 * scale:
-                return FoodChainVerdict(
-                    kind="Inconclusive", j_star=j_star, a_tilde=at,
-                    invasion_rates=rates, equilibria=equilibria,
-                    extinction_rates=np.zeros(0), residual=worst_residual,
-                    reason=f"depth-{j} equilibrium solve residual {res:.3g} too large")
+                return refuse(j_star, f"depth-{j} equilibrium solve residual {res:.3g} too large")
             if np.any(x <= 0.0):
-                return FoodChainVerdict(
-                    kind="Inconclusive", j_star=j_star, a_tilde=at,
-                    invasion_rates=rates, equilibria=equilibria,
-                    extinction_rates=np.zeros(0), residual=worst_residual,
-                    reason=(f"depth-{j} equilibrium has a nonpositive component, "
-                            "violating the chain's positivity structure"))
+                return refuse(j_star, (f"depth-{j} equilibrium has a nonpositive component, "
+                                       "violating the chain's positivity structure"))
             equilibria.append(x)
             inv = float(-at[j] + params.prey_gain[j - 1] * x[j - 1])
             rates.append(inv)
-            if abs(inv) <= borderline_tol:
-                return FoodChainVerdict(
-                    kind="Inconclusive", j_star=j_star, a_tilde=at,
-                    invasion_rates=rates, equilibria=equilibria,
-                    extinction_rates=np.zeros(0), residual=worst_residual,
-                    reason=(f"invasion rate of level {j + 1} is {inv:.3g}, too "
-                            "close to zero to classify"))
+            if abs(inv) <= _BORDERLINE_TOL:
+                return refuse(j_star, (f"invasion rate of level {j + 1} is {inv:.3g}, too "
+                                       "close to zero to classify"))
             if inv < 0.0:
                 break
             j_star = j + 1
@@ -191,19 +180,11 @@ def classify_food_chain(params: FoodChainParams,
             try:
                 x = np.linalg.solve(T, b)
             except np.linalg.LinAlgError:
-                return FoodChainVerdict(
-                    kind="Inconclusive", j_star=n - 1, a_tilde=at,
-                    invasion_rates=rates, equilibria=equilibria,
-                    extinction_rates=np.zeros(0), residual=worst_residual,
-                    reason="interior equilibrium system is singular")
+                return refuse(n - 1, "interior equilibrium system is singular")
             res = float(np.max(np.abs(T @ x - b)))
             worst_residual = max(worst_residual, res)
             if np.any(x <= 0.0) or res > 1e-10 * max(1.0, float(np.max(np.abs(b)))):
-                return FoodChainVerdict(
-                    kind="Inconclusive", j_star=n - 1, a_tilde=at,
-                    invasion_rates=rates, equilibria=equilibria,
-                    extinction_rates=np.zeros(0), residual=worst_residual,
-                    reason="interior equilibrium not strictly positive")
+                return refuse(n - 1, "interior equilibrium not strictly positive")
             equilibria.append(x)
 
     if j_star == n:

@@ -76,8 +76,6 @@ class AnalysisBudget:
     face_sim: SimConfig = field(default_factory=lambda: SimConfig(n_paths=4))
     batches: int = 20
     decision_tol: float = 1e-9          # |value| below this counts as an exact zero
-    density_rel_tol: float = 1e-9
-    density_grid: int = 4097
 
     def __post_init__(self):
         if self.batches < 2:
@@ -246,10 +244,11 @@ def _cumulative_simpson(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def stationary_density_1d(model1d: KolmogorovModel,
-                          u_max: float | None = None,
-                          rel_tol: float = 1e-9,
-                          grid_points: int = 4097) -> StationaryDensity1D:
+_DENSITY_GRID = 4097       # first refinement grid, odd for Simpson
+_DENSITY_REL_TOL = 1e-9    # refinement stops once mass and mean move less
+
+
+def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
     """Stationary density of a one-species model, or a reasoned refusal.
 
     Raises :class:`DensityError` when no normalizable density exists:
@@ -288,29 +287,17 @@ def stationary_density_1d(model1d: KolmogorovModel,
 
     # locate a window: expand until both endpoints are far below the peak
     w_lo, w_hi = -3.0, 3.0
-    if u_max is not None:
-        if u_max <= 0.0:
-            raise DensityError("u_max must be positive")
-        w_hi = float(np.log(u_max))
-        w_lo = min(w_lo, w_hi - 6.0)
     for _ in range(80):
         w, h, u, logq, s = build(w_lo, w_hi, 513)
         smax = float(np.max(s))
         grew_hi = False
         if s[-1] > smax - drop:
-            if u_max is not None:
-                # fixed ceiling: the tail must already be negligible
-                if s[-1] > smax - 0.5 * drop:
-                    raise DensityError(
-                        f"u_max={u_max:g} too small: density mass beyond it is "
-                        "not negligible")
-            else:
-                if w_hi > 230.0:   # u beyond 1e100: nothing physical decays this slowly
-                    raise DensityError(
-                        "density tail does not decay: no normalizable stationary "
-                        "density (mass escapes to infinity)")
-                w_hi += max(2.0, 0.25 * (w_hi - w_lo))
-                grew_hi = True
+            if w_hi > 230.0:   # u beyond 1e100: nothing physical decays this slowly
+                raise DensityError(
+                    "density tail does not decay: no normalizable stationary "
+                    "density (mass escapes to infinity)")
+            w_hi += max(2.0, 0.25 * (w_hi - w_lo))
+            grew_hi = True
         grew_lo = False
         if s[0] > smax - drop:
             w_lo -= max(2.0, 0.25 * (w_hi - w_lo))
@@ -324,7 +311,7 @@ def stationary_density_1d(model1d: KolmogorovModel,
         raise DensityError("could not bracket the density support")
 
     # refine until normalization and mean stabilize
-    m = max(513, grid_points if grid_points % 2 == 1 else grid_points + 1)
+    m = _DENSITY_GRID
     prev = None
     for _ in range(6):
         w, h, u, logq, s = build(w_lo, w_hi, m)
@@ -336,7 +323,7 @@ def stationary_density_1d(model1d: KolmogorovModel,
         if prev is not None:
             dz = abs(z - prev[0]) / prev[0]
             dm = abs(mean - prev[1]) / max(abs(prev[1]), 1e-300)
-            if dz < rel_tol and dm < rel_tol:
+            if dz < _DENSITY_REL_TOL and dm < _DENSITY_REL_TOL:
                 break
         prev = (z, mean)
         m = 2 * m - 1
@@ -392,7 +379,7 @@ def stationary_density_1d(model1d: KolmogorovModel,
         scale = float(np.dot(mass_weights, np.abs(vals)))
         worst = max(worst, num / max(scale, 1e-300))
     dens.weak_residual = worst
-    dens.quad_ci = max(1e-10, 100.0 * rel_tol)
+    dens.quad_ci = max(1e-10, 100.0 * _DENSITY_REL_TOL)
     if worst > 1e-6:
         raise DensityError(
             f"stationary density failed its weak-form self test (residual {worst:.3g})")
@@ -669,9 +656,7 @@ def _build_face_measure(model: KolmogorovModel, face: tuple[int, ...],
             moments=moments, residual=residual)
     if len(face) == 1:
         fmodel = restrict_to_face(model, face)
-        dens = stationary_density_1d(
-            fmodel, rel_tol=budget.density_rel_tol,
-            grid_points=budget.density_grid)
+        dens = stationary_density_1d(fmodel)
         moments = np.zeros(model.n)
         moments[face[0]] = dens.mean
         return ErgodicMeasure(

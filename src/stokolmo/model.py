@@ -8,8 +8,12 @@ with B a standard n-dimensional Brownian motion, so the driving noises
 E_i have covariance matrix sigma = Gamma^T Gamma.  The per-capita drift
 f and noise amplitude g come either in structured Lotka-Volterra form
 (f_i(x) = a_i + sum_j B_ij x_j with constant g_i) or as expression
-trees over x1..xn.  Restriction to a boundary face (a subset of species,
-the rest pinned at zero) is closed in both representations.
+trees over x1..xn.  Noise expressions none of which holds a variable are
+constant amplitudes: they are evaluated once, at load, into the same
+constant-noise form Lotka-Volterra models use, and a domain error there
+is a model error.  Restriction to a boundary face (a subset of species,
+the rest pinned at zero) is closed in both representations, and noise
+expressions left without a variable on the face become constants too.
 
 JSON schema, one of "lv" or "general" present:
 
@@ -30,8 +34,11 @@ import numpy as np
 
 from .expressions import (
     Expression,
+    ExpressionDomainError,
     ExpressionSyntaxError,
+    Num,
     compile_expression,
+    expression_variables,
     format_expression,
     parse_expression,
     substitute_zero_and_remap,
@@ -74,7 +81,9 @@ class LVDrift:
 
 
 @dataclass
-class ExprDrift:
+class _Expressions:
+    """One expression tree per species, compiled on first use."""
+
     exprs: tuple[Expression, ...]
     _compiled: tuple[Callable, ...] = field(default=None, repr=False, compare=False)
 
@@ -82,6 +91,16 @@ class ExprDrift:
         if self._compiled is None:
             self._compiled = tuple(compile_expression(e) for e in self.exprs)
         return self._compiled
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        cols = [x[..., j] for j in range(x.shape[-1])]
+        vals = [np.broadcast_to(np.asarray(fn(cols), dtype=float), x[..., 0].shape)
+                for fn in self.compiled()]
+        return np.stack(vals, axis=-1)
+
+
+class ExprDrift(_Expressions):
+    pass
 
 
 @dataclass
@@ -89,15 +108,8 @@ class ConstantNoise:
     g: np.ndarray  # (n,)
 
 
-@dataclass
-class ExprNoise:
-    exprs: tuple[Expression, ...]
-    _compiled: tuple[Callable, ...] = field(default=None, repr=False, compare=False)
-
-    def compiled(self):
-        if self._compiled is None:
-            self._compiled = tuple(compile_expression(e) for e in self.exprs)
-        return self._compiled
+class ExprNoise(_Expressions):
+    pass
 
 
 Drift = Union[LVDrift, ExprDrift]
@@ -140,10 +152,7 @@ class KolmogorovModel:
             for j in range(1, self.n):
                 out += x[:, j : j + 1] * B[:, j]
             return out
-        cols = [x[..., j] for j in range(self.n)]
-        fns = self.drift.compiled()
-        vals = [np.broadcast_to(np.asarray(fn(cols), dtype=float), x[..., 0].shape) for fn in fns]
-        return np.stack(vals, axis=-1)
+        return self.drift.at(x)
 
     def noise_amp_at(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -152,10 +161,7 @@ class KolmogorovModel:
             if x.ndim == 1:
                 return g.copy()
             return np.broadcast_to(g, x.shape).copy()
-        cols = [x[..., j] for j in range(self.n)]
-        fns = self.noise.compiled()
-        vals = [np.broadcast_to(np.asarray(fn(cols), dtype=float), x[..., 0].shape) for fn in fns]
-        return np.stack(vals, axis=-1)
+        return self.noise.at(x)
 
     def growth_rate_origin(self) -> np.ndarray:
         """f_i(0) - sigma_ii g_i(0)^2 / 2 for all i: invasion rates at the origin."""
@@ -168,36 +174,23 @@ class KolmogorovModel:
 
     def to_json_dict(self) -> dict:
         out: dict = {"n": self.n, "sigma": [[float(v) for v in row] for row in self.sigma]}
-        if isinstance(self.drift, LVDrift) and isinstance(self.noise, ConstantNoise):
+        # Lotka-Volterra drift always comes with constant noise
+        if isinstance(self.drift, LVDrift):
             out["lv"] = {
                 "a": [float(v) for v in self.drift.a],
                 "B": [[float(v) for v in row] for row in self.drift.B],
                 "g": [float(v) for v in self.noise.g],
             }
         else:
-            fs = _drift_strings(self.drift)
-            gs = _noise_strings(self.noise)
-            out["general"] = {"f": fs, "g": gs}
+            out["general"] = {"f": [format_expression(e) for e in self.drift.exprs],
+                              "g": _noise_strings(self.noise)}
         return out
-
-
-def _drift_strings(drift: Drift) -> list[str]:
-    if isinstance(drift, ExprDrift):
-        return [format_expression(e) for e in drift.exprs]
-    fs = []
-    for i in range(len(drift.a)):
-        terms = [f"{drift.a[i]:.17g}"]
-        for j, c in enumerate(drift.B[i]):
-            if c != 0.0:
-                terms.append(f"{'-' if c < 0 else '+'} {abs(c):.17g}*x{j + 1}")
-        fs.append(" ".join(terms))
-    return fs
 
 
 def _noise_strings(noise: Noise) -> list[str]:
     if isinstance(noise, ExprNoise):
         return [format_expression(e) for e in noise.exprs]
-    return [f"{v:.17g}" for v in noise.g]
+    return [format_expression(Num(float(v))) for v in noise.g]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +220,21 @@ def _float_matrix(v, path: str, rows: int, cols: int) -> np.ndarray:
     for i, row in enumerate(v):
         out[i] = _float_list(row, f"{path}[{i}]", cols)
     return out
+
+
+def _expression_noise(exprs: Sequence[Expression], labels: Sequence[int]) -> Noise:
+    """Constant amplitudes when no noise expression holds a variable, else
+    the expressions; ``labels`` name the species in errors."""
+    if any(expression_variables(e) for e in exprs):
+        return ExprNoise(exprs=tuple(exprs))
+    g = np.empty(len(exprs))
+    for i, (e, label) in enumerate(zip(exprs, labels)):
+        try:
+            g[i] = compile_expression(e)(())
+        except ExpressionDomainError as exc:
+            raise ModelError(f"general.g[{label - 1}]: {exc}") from None
+        _require(np.isfinite(g[i]), f"general.g[{label - 1}]", "must be finite")
+    return ConstantNoise(g=g)
 
 
 def parse_model(text: str) -> KolmogorovModel:
@@ -312,7 +320,7 @@ def parse_model(text: str) -> KolmogorovModel:
             except ExpressionSyntaxError as exc:
                 raise ModelError(f"general.g[{i}]: {exc}") from None
         drift = ExprDrift(exprs=tuple(f_exprs))
-        noise = ExprNoise(exprs=tuple(g_exprs))
+        noise = _expression_noise(g_exprs, range(1, n + 1))
 
     return KolmogorovModel(
         n=n, drift=drift, noise=noise, sigma=sigma, gamma_t=gamma_t,
@@ -356,9 +364,9 @@ def restrict_to_face(model: KolmogorovModel, face: Sequence[int]) -> KolmogorovM
     if isinstance(model.noise, ConstantNoise):
         noise: Noise = ConstantNoise(g=model.noise.g[sel].copy())
     else:
-        noise = ExprNoise(exprs=tuple(
-            substitute_zero_and_remap(model.noise.exprs[i], idx) for i in idx
-        ))
+        noise = _expression_noise(
+            [substitute_zero_and_remap(model.noise.exprs[i], idx) for i in idx],
+            [model.labels[i] for i in idx])
     return KolmogorovModel(
         n=len(idx), drift=drift, noise=noise, sigma=sub_sigma, gamma_t=gamma_t,
         labels=tuple(model.labels[i] for i in idx),

@@ -75,12 +75,10 @@ class RunReport:
     """Everything one run produced; self-contained and re-runnable."""
 
     model: dict                    # normalized model echo
-    verdict: dict
-    assumptions: dict
+    verdict: dict                  # carries the assumption report
     seed: int
     tool_version: str
     verification: dict | None = None
-    food_chain: dict | None = None
     cli_args: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)   # volatile; never serialized
 
@@ -88,14 +86,11 @@ class RunReport:
         doc = {
             "model": self.model,
             "verdict": self.verdict,
-            "assumptions": self.assumptions,
             "seed": int(self.seed),
             "tool_version": self.tool_version,
         }
         if self.verification is not None:
             doc["verification"] = self.verification
-        if self.food_chain is not None:
-            doc["food_chain"] = self.food_chain
         if self.cli_args:
             doc["cli_args"] = self.cli_args
         return doc

@@ -4,7 +4,10 @@ The persistence criterion asks for weights p in the simplex maximizing
 the worst weighted invasion rate over the boundary measures:
 
     maximize t  subject to  sum_i p_i r[m, i] >= t  for every measure m,
-                            sum_i p_i = 1,  p_i >= floor.
+                            sum_i p_i = 1,  p_i >= _FLOOR.
+
+The weight floor is the constant ``_FLOOR`` = 1e-6: every weight stays
+strictly positive, which the persistence certificate needs.
 
 Tables have a column per species and a row per boundary measure, up to
 2^n - 1 rows (1023 at 10 species).  A dense tableau with Bland's rule
@@ -26,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 _EPS = 1e-12
+_FLOOR = 1e-6                       # smallest weight any species gets
 _T_COLS = np.array([-1.0, 1.0])     # coefficients of t+ and t- in every measure row
 
 
@@ -76,11 +80,11 @@ def _bland_simplex(T: np.ndarray, basis: np.ndarray, n_real: int):
         _pivot(T, basis, cand[0], col, a)
 
 
-def solve_maximin(rates: np.ndarray, floor: float = 1e-6) -> tuple[np.ndarray, float]:
+def solve_maximin(rates: np.ndarray) -> tuple[np.ndarray, float]:
     """Best worst-case weighted rate over rows of ``rates``.
 
     rates has shape (n_measures, n_species).  Returns (p, t_star) with p
-    on the simplex, every p_i >= floor, and t_star = min over rows of
+    on the simplex, every p_i >= _FLOOR, and t_star = min over rows of
     p . row, maximized.  t_star may well be negative; that is the signal
     the persistence test needs.
     """
@@ -92,20 +96,17 @@ def solve_maximin(rates: np.ndarray, floor: float = 1e-6) -> tuple[np.ndarray, f
     m, k = rates.shape
     if k == 1:
         return np.ones(1), float(rates[:, 0].min())
-    if floor * k >= 1.0:
-        raise ValueError("floor too large for the simplex")
-
     # variables: q_i = p_i - floor (k), t+ , t-, slacks s_m (m)
     # rows: sum q_i = 1 - k*floor
     #       sum q_i r_mi - t+ + t- - s_m = -floor * sum_i r_mi
     nvar = k + 2 + m
     T = np.zeros((m + 2, nvar + 1))
     T[0, :k] = 1.0
-    T[0, -1] = 1.0 - k * floor
+    T[0, -1] = 1.0 - k * _FLOOR
     T[1:-1, :k] = rates
     T[1:-1, k:k + 2] = _T_COLS
     T.ravel()[nvar + k + 3::nvar + 2][:m] = -1.0       # slack diagonal
-    np.multiply(np.ascontiguousarray(rates).sum(axis=1), -floor, out=T[1:-1, -1])
+    np.multiply(np.ascontiguousarray(rates).sum(axis=1), -_FLOOR, out=T[1:-1, -1])
     cons = T[:-1]
     np.negative(cons, out=cons, where=(cons[:, -1] < 0.0)[:, None])  # b >= 0
 
@@ -138,10 +139,10 @@ def solve_maximin(rates: np.ndarray, floor: float = 1e-6) -> tuple[np.ndarray, f
 
     x = np.zeros(nvar + m + 1)          # artificial basics land past nvar
     x.put(basis, cons[:, -1])
-    p = x[:k] + floor
+    p = x[:k] + _FLOOR
     t_star = float(x[k] - x[k + 1])
     # tidy tiny negatives from roundoff and renormalize exactly
-    np.maximum(p, floor, out=p)
+    np.maximum(p, _FLOOR, out=p)
     p /= p.sum()
     achieved = float((rates @ p).min())
     if abs(achieved - t_star) > 1e-7 * max(1.0, abs(t_star)):

@@ -28,8 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Verdict
-from .engine import (EnsembleStats, OccupationHistogram, SimConfig,
-                     simulate_ensemble, simulate_path)
+from .engine import (EngineError, EnsembleStats, OccupationHistogram, SimConfig,
+                     simulate_ensemble, simulate_paths)
+# Not called here any more.  perfbench/tracing.py wraps verify.simulate_path
+# by name and fails if the attribute is missing, so the name stays importable.
+from .engine import simulate_path  # noqa: F401
 from .measures import MeasureError, lv_face_equilibrium
 from .model import KolmogorovModel, LVDrift
 
@@ -203,12 +206,14 @@ def detect_blowup_signature(model: KolmogorovModel, cfg: SimConfig | None = None
     # the ensemble terminal of a blown path is one post-threshold Euler step,
     # numerically stiff and meaningless as a state; the slope is measured on
     # stored trajectories instead, at half the halt time (pre-explosion), on
-    # a probe subset that replays the exact same paths by counter-based ids
+    # a probe subset that replays the exact same paths by counter-based ids,
+    # as one block; the first aborted path in id order raises
     n_probe = min(32, cfg.n_paths)
     y0 = np.log(x0)
     slopes = np.empty(n_probe)
-    for pid in range(n_probe):
-        traj = simulate_path(model, x0, cfg, path_id=pid)
+    for pid, traj in enumerate(simulate_paths(model, x0, cfg, range(n_probe))):
+        if traj.error is not None:
+            raise EngineError(traj.error)
         last = traj.log_states.shape[0] - 1
         idx = max(1, last // 2) if traj.blowup_time is not None else last
         slopes[pid] = float(w @ (traj.log_states[idx] - y0)) / traj.times[idx]

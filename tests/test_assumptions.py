@@ -37,6 +37,13 @@ def test_constant_noise_is_exact_pass():
     assert chk.status == "pass"
 
 
+def test_variable_free_expression_noise_is_exact_pass():
+    # general-form noise with no variable is a constant amplitude
+    chk = check_nondegeneracy(general(["1 - x1", "1 - x2"], ["1", "0.5"]))
+    assert chk.status == "pass"
+    assert chk.detail.startswith("constant noise amplitudes")
+
+
 def test_vanishing_amplitude_fails_with_witness():
     chk = check_nondegeneracy(general(["1 - x1"], ["x1"]))
     assert chk.status == "fail"

@@ -92,6 +92,9 @@ def test_verify_report_and_timing_channel(capsys, tmp_path):
     doc = json.loads(dest.read_text())
     assert doc["verification"]["status"] == "PASSED"
     assert "timing" not in doc
+    # the assumption report is written once, inside the verdict
+    assert "assumptions" not in doc
+    assert doc["verdict"]["assumptions"]["tightness"]["status"] == "pass"
 
 
 def test_verify_csv_sidecars(capsys, tmp_path):
@@ -157,6 +160,25 @@ def test_input_errors_are_json_and_exit_2(capsys, argv):
     diag = json.loads(err.strip().splitlines()[-1])
     assert diag["error"] == "input"
     assert diag["message"]
+
+
+@pytest.mark.parametrize("f", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "2 - " + "-" * 4999 + "x1",
+    " + ".join(["x1"] * 1000),
+    " ^ ".join(["2"] + ["1"] * 1000),
+], ids=["parentheses", "unary-minus", "flat-sum", "power-tower"])
+def test_too_deep_expressions_are_json_and_exit_2(capsys, tmp_path, f):
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps({"n": 1, "general": {"f": [f], "g": ["1"]},
+                             "sigma": [[1]]}))
+    code, out, err = run(capsys, "classify", str(p))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "input"
+    assert "nested deeper than" in diag["message"]
 
 
 def test_invalid_model_document(capsys, tmp_path):

@@ -240,13 +240,17 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_state_free_noise_is_evaluated_once_per_block(monkeypatch):
+def test_variable_free_noise_runs_as_constant_noise(monkeypatch):
+    # "1" is a constant amplitude and never evaluated while stepping;
+    # "1 + 0*x1" holds a variable and is evaluated every step
     cfg = SimConfig(n_paths=10, t_max=6.0, dt=1e-2, burn_in=1.0, seed=5)
     ref = simulate_ensemble(expr_model(["1", "1 + 0*x1"]), np.ones(2), cfg)
     monkeypatch.setattr(engine, "_BLOCK", 4)
     calls = count_calls(monkeypatch, "noise_amp_at")
-    stats = simulate_ensemble(expr_model(["1", "1"]), np.ones(2), cfg)
-    assert len(calls) == 3
+    model = expr_model(["1", "1"])
+    assert isinstance(model.noise, engine.ConstantNoise)
+    stats = simulate_ensemble(model, np.ones(2), cfg)
+    assert calls == []
     for name in ("y_end", "t_end", "y_burn", "exponents", "mean_state",
                  "mean_sq_state", "path_mean_state"):
         assert np.array_equal(getattr(stats, name), getattr(ref, name),

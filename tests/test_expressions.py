@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokolmo.expressions import (BinOp, Call, ExpressionDomainError,
+from stokolmo.expressions import (_MAX_DEPTH, BinOp, Call,
+                                  ExpressionDomainError,
                                   ExpressionSyntaxError, Neg, Num, Var,
-                                  compile_expression, evaluate,
-                                  expression_variables, format_expression,
-                                  parse_expression,
+                                  compile_expression, expression_variables,
+                                  format_expression, parse_expression,
                                   substitute_zero_and_remap)
 
 
 def ev(text, x, n=None):
-    return evaluate(parse_expression(text, n or len(x)), x)
+    return compile_expression(parse_expression(text, n or len(x)))(x)
 
 
 def test_arithmetic_and_precedence():
@@ -58,7 +58,7 @@ def test_syntax_errors_carry_offset(bad):
 def test_domain_errors_name_the_subexpression(expr, x):
     e = parse_expression(expr, 1)
     with pytest.raises(ExpressionDomainError) as ei:
-        evaluate(e, x)
+        compile_expression(e)(x)
     assert ei.value.subexpression
 
 
@@ -66,21 +66,28 @@ def test_domain_error_is_elementwise_aware():
     # one bad lane in an array input must still raise
     e = parse_expression("ln(x1)", 1)
     with pytest.raises(ExpressionDomainError):
-        evaluate(e, [np.array([1.0, -1.0])])
+        compile_expression(e)([np.array([1.0, -1.0])])
 
 
-def test_compile_matches_evaluate():
-    e = parse_expression("x1 * exp(-x2) + x2 ^ 2 / (1 + x1)", 2)
-    fn = compile_expression(e)
-    for x in ([0.5, 0.25], [2.0, 3.0], [10.0, 0.0]):
-        assert math.isclose(fn(x), evaluate(e, x), rel_tol=1e-15)
+def test_compile_matches_hand_written_lambdas():
+    cases = [
+        ("x1 * exp(-x2) + x2 ^ 2 / (1 + x1)",
+         lambda a, b: a * math.exp(-b) + b ** 2 / (1 + a)),
+        ("-x1 ^ 2 - x2 / 2 / x1", lambda a, b: -(a ** 2) - b / 2 / a),
+        ("sqrt(x1) * ln(1 + x2) - 3", lambda a, b: math.sqrt(a) * math.log(1 + b) - 3),
+        ("2 ^ -x2 + (x1 - x2) * x1", lambda a, b: 2 ** -b + (a - b) * a),
+    ]
+    for text, by_hand in cases:
+        fn = compile_expression(parse_expression(text, 2))
+        for x in ([0.5, 0.25], [2.0, 3.0], [10.0, 0.0]):
+            assert math.isclose(fn(x), by_hand(*x), rel_tol=1e-15), (text, x)
 
 
 def test_substitute_zero_and_remap():
     # kill x2, keep (x1, x3) -> (x1, x2)
     e = parse_expression("x1 + 2 * x2 + x3 ^ 2", 3)
     r = substitute_zero_and_remap(e, keep=[0, 2])
-    assert evaluate(r, [5.0, 3.0]) == 5.0 + 9.0
+    assert compile_expression(r)([5.0, 3.0]) == 5.0 + 9.0
     assert expression_variables(r) == {0, 1}
 
 
@@ -122,10 +129,44 @@ def test_format_parse_round_trip(e):
 def test_round_trip_preserves_value(e, x):
     text = format_expression(e)
     try:
-        a = evaluate(e, x)
+        a = compile_expression(e)(x)
     except ExpressionDomainError:
         with pytest.raises(ExpressionDomainError):
-            evaluate(parse_expression(text, 3), x)
+            compile_expression(parse_expression(text, 3))(x)
         return
-    b = evaluate(parse_expression(text, 3), x)
+    b = compile_expression(parse_expression(text, 3))(x)
     assert a == b
+
+
+# -- nesting depth ------------------------------------------------------------
+# Each input is as deep as asked, in levels: a level is a node, a pair of
+# parentheses or a unary plus.  Values are at x1 = 2.
+
+def _nested(levels):
+    return {
+        "parentheses": ("(" * (levels - 1) + "x1" + ")" * (levels - 1), 2.0),
+        "unary minus": ("-" * (levels - 1) + "x1", (-1) ** (levels - 1) * 2.0),
+        "flat sum": (" + ".join(["x1"] * levels), 2.0 * levels),
+        "power tower": (" ^ ".join(["2"] + ["1"] * (levels - 1)), 2.0),
+    }
+
+
+def _bare(text):
+    return text.replace(" ", "").replace("(", "").replace(")", "")
+
+
+@pytest.mark.parametrize("shape", list(_nested(3)))
+def test_depth_at_the_limit_parses_compiles_and_formats(shape):
+    text, value = _nested(_MAX_DEPTH)[shape]
+    e = parse_expression(text, 1)
+    assert compile_expression(e)([2.0]) == value
+    assert _bare(format_expression(e)) == _bare(text)
+
+
+@pytest.mark.parametrize("shape", list(_nested(3)))
+def test_depth_over_the_limit_is_a_syntax_error(shape):
+    text, _ = _nested(_MAX_DEPTH + 1)[shape]
+    with pytest.raises(ExpressionSyntaxError) as ei:
+        parse_expression(text, 1)
+    assert "nested deeper than" in str(ei.value)
+    assert 0 < ei.value.offset < len(text)

@@ -13,7 +13,6 @@ from stokolmo.measures import (AnalysisBudget, DensityError, ErgodicMeasure,
                                maximin_decision, measure_rates,
                                stationary_density_1d, t_quantile_975)
 from stokolmo.model import parse_model, restrict_to_face
-from stokolmo.quadrature import adaptive_simpson
 
 
 def logistic_1d(a, b=1.0, sigma=1.0, g=1.0):
@@ -53,17 +52,6 @@ def test_density_expectation_is_normalized():
     assert math.isclose(d.expectation(lambda u: np.ones_like(u)), 1.0,
                         abs_tol=1e-6)
     assert math.isclose(d.expectation(lambda u: u), d.mean, rel_tol=1e-12)
-
-
-def test_density_agrees_with_independent_quadrature():
-    # same construction evaluated with the scalar adaptive integrator,
-    # normalization and mean computed without the grid machinery
-    a, b, sigma = 2.0, 1.0, 1.0
-    dens = lambda u: u ** (2.0 * a / sigma - 2.0) * math.exp(-2.0 * b * u / sigma)
-    Z = adaptive_simpson(dens, 1e-12, 60.0, rel_tol=1e-12)
-    mean = adaptive_simpson(lambda u: u * dens(u), 1e-12, 60.0, rel_tol=1e-12) / Z
-    d = stationary_density_1d(logistic_1d(a, b, sigma))
-    assert math.isclose(d.mean, mean, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("a", [0.5, 0.3])

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from stokolmo.model import (ModelError, cholesky_factor, parse_model,
-                            restrict_to_face)
+from stokolmo.model import (ConstantNoise, ExprNoise, ModelError,
+                            cholesky_factor, parse_model, restrict_to_face)
 
 LV2 = {
     "n": 2,
@@ -108,6 +108,48 @@ def test_json_round_trip():
     x = np.array([0.4, 1.7])
     assert np.allclose(m.drift_at(x), again.drift_at(x))
     assert np.array_equal(m.sigma, again.sigma)
+
+
+# -- constant noise ----------------------------------------------------------
+
+def general2(g):
+    return parse({"n": 2, "general": {"f": ["1 - x1", "1 - x2"], "g": g},
+                  "sigma": np.eye(2).tolist()})
+
+
+def test_variable_free_noise_is_a_constant_amplitude():
+    m = general2(["1", "2 * 0.05"])
+    assert isinstance(m.noise, ConstantNoise)
+    assert m.noise.g.tolist() == [1.0, 0.1]
+    # the echo prints the folded value as the expression printer does
+    assert m.to_json_dict()["general"]["g"] == ["1", "0.1"]
+    again = parse(m.to_json_dict())
+    assert np.array_equal(again.noise.g, m.noise.g)
+
+
+def test_noise_holding_a_variable_stays_expressions():
+    m = general2(["1", "1 + 0*x1"])
+    assert isinstance(m.noise, ExprNoise)
+    assert m.to_json_dict()["general"]["g"] == ["1", "1 + 0 * x1"]
+
+
+@pytest.mark.parametrize("g", ["ln(0)", "1 / (1 - 1)", "1e308 * 10"])
+def test_constant_noise_errors_at_load(g):
+    with pytest.raises(ModelError) as ei:
+        general2(["1", g])
+    assert "general.g[1]" in str(ei.value)
+
+
+def test_restriction_folds_noise_left_without_variables():
+    m = general2(["1 + x2", "sqrt(x2)"])
+    assert isinstance(m.noise, ExprNoise)
+    face = restrict_to_face(m, [0])
+    assert isinstance(face.noise, ConstantNoise) and face.noise.g.tolist() == [1.0]
+    assert isinstance(restrict_to_face(m, [1]).noise, ExprNoise)
+    # a domain error left on the face names the entry of the full model
+    with pytest.raises(ModelError) as ei:
+        restrict_to_face(general2(["1 + x1", "ln(x1)"]), [1])
+    assert "general.g[1]" in str(ei.value)
 
 
 # -- face restriction --------------------------------------------------------

@@ -12,19 +12,16 @@ FLOOR = 1e-6
 
 
 def grid_maximin(rates, step):
-    """Brute-force maximin over a simplex grid, the independent oracle."""
+    """Brute-force maximin over a grid of the floored simplex (every
+    weight at least FLOOR), the independent oracle."""
     m, k = rates.shape
     best = -np.inf
     ticks = int(round(1.0 / step))
-    if k == 2:
-        for i in range(ticks + 1):
-            p = np.array([i * step, 1.0 - i * step])
-            best = max(best, float(np.min(rates @ p)))
-        return best
     for combo in itertools.product(range(ticks + 1), repeat=k - 1):
         if sum(combo) > ticks:
             continue
         p = np.array(list(combo) + [ticks - sum(combo)], dtype=float) * step
+        p = FLOOR + (1.0 - k * FLOOR) * p
         best = max(best, float(np.min(rates @ p)))
     return best
 
@@ -38,7 +35,7 @@ def test_single_species_shortcut():
 def test_textbook_two_measure_game():
     # value of the matrix game [[3, -1], [-1, 1]] is 1/3 at p = (1/3, 2/3)
     rates = np.array([[3.0, -1.0], [-1.0, 1.0]])
-    p, t = solve_maximin(rates, floor=0.0)
+    p, t = solve_maximin(rates)
     assert np.allclose(p, [1.0 / 3.0, 2.0 / 3.0], atol=1e-9)
     assert np.isclose(t, 1.0 / 3.0, atol=1e-9)
 
@@ -46,21 +43,21 @@ def test_textbook_two_measure_game():
 def test_symmetric_cross_rates():
     # rows (-1, 2) and (2, -1): equal weights give margin 0.5 on both rows,
     # and no tilt improves the worse one
-    p, t = solve_maximin(np.array([[-1.0, 2.0], [2.0, -1.0]]), floor=0.0)
+    p, t = solve_maximin(np.array([[-1.0, 2.0], [2.0, -1.0]]))
     assert np.allclose(p, [0.5, 0.5], atol=1e-9)
     assert np.isclose(t, 0.5, atol=1e-9)
 
 
 def test_all_rows_losing_has_no_certificate():
     # rows (-1, 0) and (0, -1): every mixture leaves some row nonpositive
-    _, t = solve_maximin(np.array([[-1.0, 0.0], [0.0, -1.0]]), floor=0.0)
+    _, t = solve_maximin(np.array([[-1.0, 0.0], [0.0, -1.0]]))
     assert t <= 0.0
 
 
 def test_dominant_row_pins_to_floor():
     # species 2 hurts every row; optimum puts it at the floor
     rates = np.array([[1.0, -5.0], [2.0, -7.0]])
-    p, t = solve_maximin(rates, floor=FLOOR)
+    p, t = solve_maximin(rates)
     assert np.isclose(p[1], FLOOR)
     assert np.isclose(t, rates[0] @ p)
 
@@ -69,7 +66,7 @@ def test_matches_grid_oracle_small():
     rng = np.random.default_rng(11)
     for _ in range(10):
         rates = rng.uniform(-3.0, 3.0, size=(3, 3))
-        p, t = solve_maximin(rates, floor=0.0)
+        p, t = solve_maximin(rates)
         assert t >= grid_maximin(rates, 1e-2) - 1e-9
         # achievability: the reported weights really deliver t
         assert np.isclose(np.min(rates @ p), t, atol=1e-9)
@@ -108,11 +105,6 @@ def test_adding_a_row_never_helps(rates):
     _, t_all = solve_maximin(rates)
     _, t_sub = solve_maximin(rates[:2])
     assert t_all <= t_sub + 1e-9
-
-
-def test_infeasible_floor_rejected():
-    with pytest.raises(ValueError):
-        solve_maximin(np.array([[1.0, 1.0]]), floor=0.6)
 
 
 def test_nonfinite_rejected():
@@ -287,27 +279,24 @@ def _lattice_table(rng, k):
 
 
 def _bit_identity_cases():
-    """(rates, floor) pairs: lattice tables at the program's floor, and
-    small tables at that floor and at zero."""
+    """Lattice tables and small tables, all at the program's floor."""
     rng = np.random.default_rng(2024)
-    cases = [(_lattice_table(rng, k), FLOOR) for k in range(2, 9) for _ in range(2)]
+    cases = [_lattice_table(rng, k) for k in range(2, 9) for _ in range(2)]
     for m in range(1, 8):
         for k in (2, 3, 5):
-            for rates in (rng.uniform(-3.0, 3.0, (m, k)),
-                          # coarse values make ties and degenerate pivots common
-                          rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (m, k))):
-                cases += [(rates, FLOOR), (rates, 0.0)]
-    # entries near _EPS leave an artificial basic after phase 1 and so
-    # take the drive-out pivots
-    cases += [(np.array([[0.0, 3e-12], [1e-06, -1.0], [-1e-13, 1e-13]]), 0.0),
-              (np.array([[1e-06, 1.0, 1.0], [3e-12, 1e-06, 0.0],
-                         [-1.0, 0.0, 0.0], [1e-13, 1.0, 3e-12]]), 0.0)]
+            cases += [rng.uniform(-3.0, 3.0, (m, k)),
+                      # coarse values make ties and degenerate pivots common
+                      rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (m, k))]
+    # entries near _EPS and the floor leave an artificial basic after
+    # phase 1 and so take the drive-out pivots
+    cases.append(np.array([[-1e-13, -1e-06], [-1e-06, 2e-06], [-1e-06, 0.0],
+                           [3e-12, -1e-06], [1.0, 1.0]]))
     return cases
 
 
 def test_bitwise_equal_to_scalar_tableau():
-    for rates, floor in _bit_identity_cases():
-        want_p, want_t = _ref_solve_maximin(rates, floor)
-        p, t = solve_maximin(rates, floor)
-        assert p.tobytes() == want_p.tobytes(), (rates, floor)
-        assert np.float64(t).tobytes() == np.float64(want_t).tobytes(), (rates, floor)
+    for rates in _bit_identity_cases():
+        want_p, want_t = _ref_solve_maximin(rates)
+        p, t = solve_maximin(rates)
+        assert p.tobytes() == want_p.tobytes(), rates
+        assert np.float64(t).tobytes() == np.float64(want_t).tobytes(), rates
