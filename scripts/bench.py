@@ -1,24 +1,33 @@
 #!/usr/bin/env python3
-"""LP layer benchmark: microseconds per maximin table, by table shape.
+"""Layer benchmarks: the maximin LP by table shape, or the engine by model.
 
 Run from the repository root:
 
     python3 scripts/bench.py --label lp                 # writes BENCH_lp.json
     python3 scripts/bench.py --label lp --against ../other-checkout
+    python3 scripts/bench.py --section engine --label engine --against ../other
 
-It classifies seeded competitive and food-chain Lotka-Volterra
-communities of 3-10 species and keeps every table handed to
-``solve_maximin`` (the script wraps ``measures.solve_maximin`` and
+--section lp (the default) classifies seeded competitive and food-chain
+Lotka-Volterra communities of 3-10 species and keeps every table handed
+to ``solve_maximin`` (the script wraps ``measures.solve_maximin`` and
 ``classify.solve_maximin``; the library itself is untouched).  Then it
 times each kept table alone, takes the fastest of REPEATS solves, and
 reports per (rows, species) shape the median over that shape's tables
 (at most MAX_TIMED of them, spread evenly), with the machine it ran on.
 
+--section engine times ``simulate_ensemble`` on each model of the
+``verify_ensemble`` benchmark workload at 128 paths, with the horizon,
+burn-in and seed ``stokolmo verify`` uses there, ENGINE_ROUNDS times,
+and reports the median time as million path-steps per second (path-steps
+count each path up to its halt).
+
 Timings taken in separate runs drift with the host's speed.  --against
-CHECKOUT loads that checkout's ``src/stokolmo/simplex.py`` beside this
-one and times both on every table back to back, in alternating order,
-so each shape also gets that solver's median and the median over its
-tables of the per-table time ratio.
+CHECKOUT loads that checkout's package beside this one and times both
+on every table or model back to back, in alternating order.  An LP shape
+also gets that solver's median and the median over its tables of the
+per-table time ratio; an engine model gets the other throughput, the
+median over rounds of the time ratio (this checkout over the other) and
+whether both gave the same terminal states bit for bit.
 """
 
 import argparse
@@ -47,6 +56,21 @@ SIZES = range(3, 11)
 SEEDS = (1, 2)
 REPEATS = 9         # solves per table; the fastest counts
 MAX_TIMED = 60
+
+ENGINE_PATHS = 128
+ENGINE_DT = 1e-3
+ENGINE_ROUNDS = 5   # ensembles per model and checkout; the median counts
+# model, horizon T and verify seed, as the verify_ensemble workload runs them
+ENGINE_PLAN = (
+    ("logistic", 60.0, 0),
+    ("lv_coexist", 40.0, 1),
+    ("predprey", 40.0, 0),
+    ("holling2d", 60.0, 0),
+    ("lv_single_extinct", 40.0, 0),
+    ("lv_bistable", 40.0, 0),
+    ("two_pred_one_prey", 30.0, 0),
+    ("coop_blowup", 30.0, 0),
+)
 
 
 def lv_doc(a, B, s) -> dict:
@@ -135,42 +159,100 @@ def git_rev(root) -> str | None:
         return None
 
 
-def load_simplex(checkout: pathlib.Path):
-    path = checkout / "src" / "stokolmo" / "simplex.py"
-    spec = importlib.util.spec_from_file_location("against_simplex", path)
+def load_package(checkout: pathlib.Path):
+    """Import another checkout's ``src/stokolmo`` as package ``against_stokolmo``."""
+    init = checkout / "src" / "stokolmo" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        "against_stokolmo", init, submodule_search_locations=[str(init.parent)])
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.solve_maximin
+    return module
+
+
+def lp_section(against) -> dict:
+    tables = collect_tables(SEEDS)
+    solvers = [measures.solve_maximin]
+    if against:
+        load_package(pathlib.Path(against))
+        solvers.append(importlib.import_module("against_stokolmo.simplex").solve_maximin)
+    shapes = time_shapes(tables, solvers)
+    est = sum(v["calls"] * v["median_us"] for v in shapes.values()) * 1e-6
+    doc = {"seeds": list(SEEDS), "repeats": REPEATS,
+           "lp_calls": len(tables), "lp_s_estimate": round(est, 3), "shapes": shapes}
+    if against:
+        doc["against_lp_s_estimate"] = round(1e-6 * sum(
+            v["calls"] * v["against_median_us"] for v in shapes.values()), 3)
+    print(f"{len(tables)} tables, {len(shapes)} shapes, estimated LP time {est:.2f} s")
+    for key, v in shapes.items():
+        print(f"{key:>8} {v['median_us']:>11.1f}"
+              + (f" {v['against_median_us']:>11.1f} {v['ratio']:6.2f}" if against else ""))
+    return doc
+
+
+def engine_section(against) -> dict:
+    """Median Mpath-steps/s of ``simulate_ensemble`` per model; every round
+    runs each model once per package, in alternating order."""
+    packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
+    models = {}
+    for pkg in packages:
+        for name, _, _ in ENGINE_PLAN:
+            models[pkg, name] = pkg.load_model(str(ROOT / "models" / f"{name}.json"))
+    seconds = np.zeros((len(packages), len(ENGINE_PLAN), ENGINE_ROUNDS))
+    results = {}
+    order = list(range(len(packages)))
+    for r in range(ENGINE_ROUNDS):
+        for m, (name, horizon, seed) in enumerate(ENGINE_PLAN):
+            order.reverse()
+            for k in order:
+                pkg = packages[k]
+                model = models[pkg, name]
+                cfg = pkg.SimConfig(dt=ENGINE_DT, t_max=horizon, burn_in=min(50.0, 0.1 * horizon),
+                                    n_paths=ENGINE_PATHS, seed=seed)
+                t0 = time.perf_counter()
+                stats = pkg.simulate_ensemble(model, np.ones(model.n), cfg)
+                seconds[k, m, r] = time.perf_counter() - t0
+                results[k, name] = stats
+    out = {}
+    for m, (name, horizon, seed) in enumerate(ENGINE_PLAN):
+        stats = results[0, name]
+        steps = int(np.rint(stats.t_end / ENGINE_DT).sum())
+        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
+        row = {"t_max": horizon, "seed": seed, "path_steps": steps,
+               "median_s": round(med[0], 4), "msteps_per_s": round(steps / med[0] * 1e-6, 3)}
+        if against:
+            other = results[1, name]
+            row["against_median_s"] = round(med[1], 4)
+            row["against_msteps_per_s"] = round(steps / med[1] * 1e-6, 3)
+            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
+            row["bit_identical"] = bool(np.array_equal(stats.y_end, other.y_end)
+                                        and np.array_equal(stats.t_end, other.t_end))
+        out[name] = row
+        print(f"{name:>18} {row['msteps_per_s']:>8.3f}"
+              + (f" {row['against_msteps_per_s']:>8.3f} {row['ratio']:6.2f}"
+                 f" {'same bits' if row['bit_identical'] else 'BITS DIFFER'}" if against else ""))
+    return {"paths": ENGINE_PATHS, "dt": ENGINE_DT, "rounds": ENGINE_ROUNDS, "models": out}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--against", help="another checkout whose solver is timed alongside")
+    ap.add_argument("--section", choices=("lp", "engine"), default="lp",
+                    help="the layer to time (default: lp)")
+    ap.add_argument("--against", help="another checkout timed alongside")
     args = ap.parse_args()
 
-    tables = collect_tables(SEEDS)
-    solvers = [measures.solve_maximin]
-    if args.against:
-        solvers.append(load_simplex(pathlib.Path(args.against)))
-    shapes = time_shapes(tables, solvers)
-    est = sum(v["calls"] * v["median_us"] for v in shapes.values()) * 1e-6
     doc = {"label": args.label,
            "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                        "python": platform.python_version(), "numpy": np.__version__},
-           "git": git_rev(ROOT), "seeds": list(SEEDS), "repeats": REPEATS,
-           "lp_calls": len(tables), "lp_s_estimate": round(est, 3), "shapes": shapes}
+           "git": git_rev(ROOT)}
     if args.against:
         doc["against_git"] = git_rev(args.against)
-        doc["against_lp_s_estimate"] = round(1e-6 * sum(
-            v["calls"] * v["against_median_us"] for v in shapes.values()), 3)
+    section = lp_section if args.section == "lp" else engine_section
+    doc.update(section(args.against))
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"{path.name}: {len(tables)} tables, {len(shapes)} shapes, "
-          f"estimated LP time {est:.2f} s")
-    for key, v in shapes.items():
-        print(f"{key:>8} {v['median_us']:>11.1f}"
-              + (f" {v['against_median_us']:>11.1f} {v['ratio']:6.2f}" if args.against else ""))
+    print(f"wrote {path.name}")
     return 0
 
 

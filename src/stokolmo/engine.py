@@ -12,12 +12,15 @@ arithmetic does not depend on how paths are grouped, so an ensemble
 gives bitwise identical results for any block width; all cross-path
 reductions happen in fixed path order after the fact.
 
-Paths are stepped in blocks of up to ``_BLOCK`` paths, vectorized
-across paths: an ensemble keeps running reductions per block, stored
-paths (:func:`simulate_paths`) keep every state.  A path that crosses
-the blow-up threshold halts (its terminal state and time are recorded
-and it is frozen out of further arithmetic); crossing the extinction
-threshold is only flagged, since in log coordinates nothing bad happens
+Paths are stepped in blocks, vectorized across paths: an ensemble keeps
+running reductions per block, stored paths (:func:`simulate_paths`) keep
+every state.  A block steps ``_CHUNK`` time steps at a time and holds two
+float64 (``_CHUNK``, paths, n) buffers, its noise increments and its log
+states; the paths are split into the fewest contiguous, near-equal blocks
+whose buffer fits the ``_BLOCK_BYTES`` cap.  A path that crosses the
+blow-up threshold halts (its terminal state and time are recorded and it
+is frozen out of further arithmetic); crossing the extinction threshold
+is only flagged, since in log coordinates nothing bad happens
 numerically when a species keeps decaying.  Once every path of a block
 has halted the block stops stepping at once.
 """
@@ -33,7 +36,7 @@ from .expressions import ExpressionDomainError
 from .model import ConstantNoise, KolmogorovModel
 
 _CHUNK = 4096   # time steps integrated per noise batch; fixed for reproducibility
-_BLOCK = 64     # paths per vectorized block
+_BLOCK_BYTES = 16 << 20   # cap on one (_CHUNK, paths, n) float64 chunk buffer of a block
 
 _MASK64 = (1 << 64) - 1
 
@@ -225,14 +228,6 @@ class _BlockOut:
     errors: dict[int, str]
 
 
-def _freeze(rows, Y, terminal, t_end, halt_step, active, step, dt):
-    terminal[rows] = Y[rows]
-    t_end[rows] = step * dt
-    halt_step[rows] = step
-    Y[rows] = 0.0            # park frozen rows at a harmless state
-    active[rows] = False
-
-
 def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                path_ids: Sequence[int], store_states: bool = False) -> _BlockOut:
     n = model.n
@@ -245,18 +240,20 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     grid = cfg.grid
     nb = grid.bins
     inv_width = 1.0 / grid.width
+    blow_thr = cfg.blowup_log_threshold
 
     L = model.gamma_t
-    sig_diag = np.diag(model.sigma).copy()
+    half_sig = 0.5 * np.diag(model.sigma)
     const_noise = isinstance(model.noise, ConstantNoise)
     if const_noise:
         g_const = model.noise.g
-        ito_const = 0.5 * sig_diag * g_const ** 2
+        ito_const = half_sig * g_const ** 2
 
     gens = _generators(cfg.seed, path_ids)
     Y = np.tile(y0, (P, 1))
+    X = np.empty((P, n))
     active = np.ones(P, dtype=bool)
-    actf = active.astype(float)
+    actf = np.ones((P, 1))
     terminal = np.tile(y0, (P, 1))
     t_end = np.full(P, n_steps * dt)
     halt_step = np.full(P, n_steps + 1, dtype=np.int64)
@@ -275,10 +272,24 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         states[:, 0] = Y
     if burn_idx == 0:
         y_burn[:] = Y
+    n_live = P    # paths not yet halted; below P the update is masked
 
-    def eval_with_isolation(kind: str, X: np.ndarray, step: int):
-        """Evaluate drift or noise amplitude; on a domain error, find the
+    def freeze(rows, step):
+        """Halt ``rows`` at ``step``: record their state, park them at the
+        harmless Y = 0 and mask them out of further arithmetic."""
+        nonlocal n_live
+        terminal[rows] = Y[rows]
+        t_end[rows] = step * dt
+        halt_step[rows] = step
+        Y[rows] = 0.0
+        active[rows] = False
+        actf[rows] = 0.0
+        n_live -= len(rows)
+
+    def eval_with_isolation(kind: str, step: int):
+        """Evaluate drift or noise amplitude at X; on a domain error, find the
         offending paths by scalar re-evaluation, abort just those, retry."""
+        nonlocal Y
         fn = model.drift_at if kind == "drift" else model.noise_amp_at
         while True:
             try:
@@ -302,85 +313,108 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                         f"domain error evaluating {kind} at t={step * dt:.6g}: {path_exc}"
                     )
                 rows = np.array(list(bad), dtype=int)
-                _freeze(rows, Y, terminal, t_end, halt_step, active, step, dt)
-                actf[:] = active.astype(float)
+                # Y views the stored state of the previous step; park a copy
+                Y = Y.copy()
+                freeze(rows, step)
                 X[rows] = 1.0  # parked state, consistent with Y = 0
 
     windows_len = max(n_steps - burn_idx, 1)
     step = 0
     while step < n_steps:
         K = min(_CHUNK, n_steps - step)
-        eps = np.empty((K, P, n))
+        # noise increments (L xi)_i = sum_j L[i, j] xi_j, mixed path by path
+        # as broadcast adds so every path sees scalar-identical arithmetic
+        # in any block shape; a contiguous (K, n) sum per path, then one
+        # strided copy into the block's buffer
+        dW = np.empty((K, P, n))
         for p in range(P):
-            eps[:, p, :] = gens[p].standard_normal((K, n))
-        # mix channels: (L xi)_i = sum_j L[i, j] xi_j, kept as broadcast adds
-        # so every path sees scalar-identical arithmetic in any block shape
-        mixed = np.zeros((K, P, n))
-        for j in range(n):
-            mixed += eps[:, :, j:j + 1] * L[:, j]
+            eps = gens[p].standard_normal((K, n))
+            mixed = np.zeros((K, n))
+            for j in range(n):
+                mixed += eps[:, j:j + 1] * L[:, j]
+            dW[:, p, :] = mixed
         if const_noise:
-            mixed *= g_const
+            dW *= g_const
+            dW *= sqrt_dt
         ybuf = np.empty((K, P, n))
 
         for k in range(K):
             gstep = step + k + 1
-            X = np.exp(Y)
-            F = eval_with_isolation("drift", X, gstep)
+            np.exp(Y, out=X)
+            dY = eval_with_isolation("drift", gstep)
             if const_noise:
-                dY = (F - ito_const) * dt + mixed[k] * sqrt_dt
+                dY -= ito_const
+                dY *= dt
+                dY += dW[k]
             else:
-                G = eval_with_isolation("noise", X, gstep)
-                dY = (F - 0.5 * sig_diag * G * G) * dt + G * mixed[k] * sqrt_dt
-            Y += dY * actf[:, None]
-            over = active & (Y.max(axis=1) > cfg.blowup_log_threshold)
-            if over.any():
-                rows = np.flatnonzero(over)
-                blow_time[rows] = gstep * dt
-                _freeze(rows, Y, terminal, t_end, halt_step, active, gstep, dt)
-                actf[:] = active.astype(float)
+                G = eval_with_isolation("noise", gstep)
+                ito = half_sig * G
+                ito *= G
+                dY -= ito
+                dY *= dt
+                G *= dW[k]
+                G *= sqrt_dt
+                dY += G
+            if n_live < P:
+                dY *= actf
+            Y = np.add(Y, dY, out=ybuf[k])
+            # one scalar screen per step; nan fails it too and gets the row test
+            if not Y.max() <= blow_thr:
+                over = active & (Y.max(axis=1) > blow_thr)
+                if over.any():
+                    rows = np.flatnonzero(over)
+                    blow_time[rows] = gstep * dt
+                    freeze(rows, gstep)
             if gstep == burn_idx:
                 y_burn[active] = Y[active]
-            ybuf[k] = Y
             if store_states:
                 states[:, gstep] = Y
-            if not active.any():
+            if n_live == 0:
                 # every path halted: the remaining steps would all be masked out
                 K = k + 1
                 ybuf = ybuf[:K]
                 break
+        # keep the state, not a view of the chunk's buffers
+        Y = Y.copy()
 
         gsteps = np.arange(step + 1, step + K + 1)
         valid = gsteps[:, None] < halt_step[None, :]          # (K, P)
         stats_mask = valid & (gsteps[:, None] > burn_idx)
         # extinction first hits, only while a path is live
-        hits = (ybuf < cfg.extinct_log_threshold) & valid[:, :, None] & pending_ext[None, :, :]
+        hits = ybuf < cfg.extinct_log_threshold
+        hits &= valid[:, :, None]
+        hits &= pending_ext
         anyhit = hits.any(axis=0)
         if anyhit.any():
             first = hits.argmax(axis=0)
             t_hit = (step + first + 1) * dt
             extinct_time[anyhit] = t_hit[anyhit]
             pending_ext &= ~anyhit
-        # occupation and moment accumulation over post-burn-in live steps
+        del hits
+        # occupation and moment accumulation over post-burn-in live steps,
+        # with X put into the spent noise buffer
         if stats_mask.any():
-            wmask = stats_mask
-            xbuf = np.exp(ybuf)
-            wf = wmask.astype(float)[:, :, None]
-            sum_x += (xbuf * wf).sum(axis=0)
-            sum_x2 += (xbuf * xbuf * wf).sum(axis=0)
-            stats_steps += wmask.sum(axis=0)
-            idx = np.clip(((ybuf - grid.lo) * inv_width).astype(np.int64), -1, nb) + 1
+            xbuf = np.exp(ybuf, out=dW[:K])
+            xbuf *= stats_mask[:, :, None]
+            sum_x += xbuf.sum(axis=0)
+            xbuf *= xbuf
+            sum_x2 += xbuf.sum(axis=0)
+            stats_steps += stats_mask.sum(axis=0)
             wid = np.minimum(((gsteps - burn_idx - 1) * W) // windows_len, W - 1)
-            for w in range(W):
-                sel = wmask & (wid[:, None] == w)
-                if not sel.any():
-                    continue
-                flat_sel = sel.ravel()
-                for i in range(n):
-                    hist_counts[w, i] += np.bincount(
-                        idx[:, :, i].ravel()[flat_sel], minlength=nb + 2
-                    )
+            offset = (wid * (nb + 2))[:, None]
+            for i in range(n):
+                scaled = ybuf[:, :, i] - grid.lo
+                scaled *= inv_width
+                idx = scaled.astype(np.int64)
+                del scaled
+                np.clip(idx, -1, nb, out=idx)
+                idx += offset + 1
+                hist_counts[:, i] += np.bincount(
+                    idx[stats_mask], minlength=W * (nb + 2)).reshape(W, nb + 2)
+            del xbuf, idx
+        del dW, ybuf
         step += K
-        if not active.any():
+        if n_live == 0:
             break
 
     # paths that ran to the horizon keep their final state as terminal
@@ -398,6 +432,15 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     )
 
 
+def _blocks(n_ids: int, n: int) -> list[range]:
+    """Split positions 0..n_ids-1 into the fewest contiguous blocks, in order,
+    whose (_CHUNK, width, n) float64 buffer fits in ``_BLOCK_BYTES``; the
+    widths differ by at most one.  A path wider than the cap runs alone."""
+    width = max(1, _BLOCK_BYTES // (_CHUNK * n * 8))
+    count = -(-n_ids // width)
+    return [range(b * n_ids // count, (b + 1) * n_ids // count) for b in range(count)]
+
+
 def _check_x0(model: KolmogorovModel, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
@@ -411,21 +454,21 @@ def simulate_paths(model: KolmogorovModel, x0, cfg: SimConfig,
                    path_ids: Sequence[int]) -> list[Trajectory]:
     """Integrate the given paths, storing each full log-space trajectory.
 
-    Paths run together, ``_BLOCK`` at a time, and each is bitwise
-    identical to the same member of an ensemble run with the same seed,
-    because its noise stream is keyed by (seed, path id) alone.  A block
-    holds every state while it runs, (n_steps + 1) x paths x n floats:
-    4 paths of a 2-species face over 500 000 steps take 32 MB.  A path
-    aborted by a domain error comes back cut at the abort, with
-    ``error`` set.
+    Paths run together in as few blocks as the ``_BLOCK_BYTES`` cap on a
+    chunk buffer allows, and each is bitwise identical to the same member
+    of an ensemble run with the same seed, because its noise stream is
+    keyed by (seed, path id) alone.  Each path also keeps every state,
+    (n_steps + 1) x n floats: 4 paths of a 2-species face over 500 000
+    steps take 32 MB.  A path aborted by a domain error comes back cut at
+    the abort, with ``error`` set.
     """
     x0 = _check_x0(model, x0)
     y0 = np.log(x0)
     ids = list(path_ids)
     times = cfg.dt * np.arange(cfg.n_steps + 1)
     trajs = []
-    for s in range(0, len(ids), _BLOCK):
-        block = ids[s:s + _BLOCK]
+    for r in _blocks(len(ids), model.n):
+        block = ids[r.start:r.stop]
         out = _run_block(model, y0, cfg, block, store_states=True)
         for p, pid in enumerate(block):
             halt_steps = int(round(out.t_end[p] / cfg.dt))
@@ -453,14 +496,13 @@ def simulate_path(model: KolmogorovModel, x0, cfg: SimConfig,
 def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig) -> EnsembleStats:
     """Integrate ``cfg.n_paths`` independent paths from the same start.
 
-    Paths run in blocks of ``_BLOCK``; every reduction below walks blocks
-    in fixed order.
+    Paths run in the fewest near-equal blocks whose chunk buffer fits the
+    ``_BLOCK_BYTES`` cap (128 paths of up to 4 species make one block);
+    every reduction below walks blocks in fixed order.
     """
     x0 = _check_x0(model, x0)
     y0 = np.log(x0)
-    P = cfg.n_paths
-    ranges = [range(s, min(s + _BLOCK, P)) for s in range(0, P, _BLOCK)]
-    outs = [_run_block(model, y0, cfg, r) for r in ranges]
+    outs = [_run_block(model, y0, cfg, r) for r in _blocks(cfg.n_paths, model.n)]
 
     y_end = np.vstack([o.y_end for o in outs])
     t_end = np.concatenate([o.t_end for o in outs])

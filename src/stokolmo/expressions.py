@@ -276,8 +276,7 @@ def _fmt(e: Expression, parent_prec: int) -> str:
     if isinstance(e, Var):
         return f"x{e.index + 1}"
     if isinstance(e, Neg):
-        inner = _fmt(e.arg, _PREC["neg"])
-        s = f"-{inner}"
+        s = f"-{_fmt_signed(e.arg, _PREC['neg'])}"
         return s if parent_prec < _PREC["neg"] else f"({s})"
     if isinstance(e, Call):
         return f"{e.fn}({_fmt(e.arg, 0)})"
@@ -286,7 +285,7 @@ def _fmt(e: Expression, parent_prec: int) -> str:
         # left-associative ops need tighter right side; ^ the reverse
         if e.op == "^":
             left = _fmt(e.left, prec + 1)
-            right = _fmt(e.right, prec)
+            right = _fmt_signed(e.right, prec)
         else:
             left = _fmt(e.left, prec)
             right = _fmt(e.right, prec + 1)
@@ -295,12 +294,20 @@ def _fmt(e: Expression, parent_prec: int) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _fmt_signed(e: Expression, parent_prec: int) -> str:
+    """Print ``e`` where the grammar takes a signed factor (the operand of a
+    unary minus, an exponent): a negation needs no parentheses there, and
+    leaving them out keeps the echo of a deep tree within the parser's
+    depth limit."""
+    return _fmt(e, 0) if isinstance(e, Neg) else _fmt(e, parent_prec)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
 def _any(cond) -> bool:
     if isinstance(cond, np.ndarray):
-        return bool(np.any(cond))
+        return bool(cond.any())
     return bool(cond)
 
 

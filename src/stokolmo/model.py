@@ -94,9 +94,10 @@ class _Expressions:
 
     def at(self, x: np.ndarray) -> np.ndarray:
         cols = [x[..., j] for j in range(x.shape[-1])]
-        vals = [np.broadcast_to(np.asarray(fn(cols), dtype=float), x[..., 0].shape)
-                for fn in self.compiled()]
-        return np.stack(vals, axis=-1)
+        out = np.empty(x.shape)
+        for i, fn in enumerate(self.compiled()):
+            out[..., i] = fn(cols)
+        return out
 
 
 class ExprDrift(_Expressions):

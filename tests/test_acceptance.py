@@ -267,8 +267,9 @@ def test_maximin_matches_grid_search():
 
 def test_reports_identical_across_block_widths(tmp_path, monkeypatch, capsys):
     blobs = []
-    for width in (64, 100):   # 3 blocks against 2 ragged ones
-        monkeypatch.setattr(engine, "_BLOCK", width)
+    for width in (64, 100):   # 3 blocks of 64 against 2 of 96
+        # lv_bistable has 2 species
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", engine._CHUNK * 8 * 2 * width)
         dest = tmp_path / f"report-{width}wide.json"
         code = cli_main(["verify", model_path("lv_bistable"),
                          "--t", "80", "--paths", "192", "--seed", "5",

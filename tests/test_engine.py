@@ -41,13 +41,18 @@ def test_bad_x0_rejected():
             simulate_ensemble(LOGISTIC, np.array(x0, dtype=float), cfg)
 
 
+def cap_width(monkeypatch, width, n):
+    """Set the block byte cap so blocks of ``n`` species hold at most ``width`` paths."""
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", engine._CHUNK * 8 * n * width)
+
+
 def test_block_width_cannot_change_results(monkeypatch):
     cfg = SimConfig(n_paths=130, t_max=6.0, burn_in=1.0, seed=42)
     for model in (LOGISTIC, corr_model(0.5)):
         x0 = np.ones(model.n)
         runs = []
-        for width in (7, 64):     # 19 ragged blocks against 3
-            monkeypatch.setattr(engine, "_BLOCK", width)
+        for width in (7, 64):     # 19 blocks against 3
+            cap_width(monkeypatch, width, model.n)
             runs.append(simulate_ensemble(model, x0, cfg))
         a, b = runs
         for name in ("y_end", "t_end", "y_burn", "exponents", "mean_state",
@@ -69,7 +74,8 @@ def test_same_seed_reproduces_exactly():
     assert not np.array_equal(a.y_end, c.y_end)
 
 
-def test_path_replay_matches_ensemble_member():
+def test_path_replay_matches_ensemble_member(monkeypatch):
+    cap_width(monkeypatch, 64, LOGISTIC.n)
     cfg = SimConfig(n_paths=70, t_max=5.0, burn_in=1.0, seed=3)  # spans 2 blocks
     stats = simulate_ensemble(LOGISTIC, X0, cfg)
     for pid in (0, 1, 63, 64, 69):
@@ -198,7 +204,7 @@ def assert_same_trajectory(a, b):
     (COOP, SimConfig(n_paths=6, t_max=50.0, burn_in=1.0, seed=0)),
 ])
 def test_simulate_paths_matches_single_path_runs(monkeypatch, model, cfg):
-    monkeypatch.setattr(engine, "_BLOCK", 4)      # ids 1..6 in two ragged blocks
+    cap_width(monkeypatch, 4, model.n)            # ids 1..6 in two blocks
     ids = range(1, 7)
     block = engine.simulate_paths(model, np.ones(2), cfg, ids)
     assert [t.path_id for t in block] == list(ids)
@@ -228,6 +234,57 @@ def test_aborted_path_carries_its_error():
         assert str(exc.value) == traj.error
 
 
+def test_aborted_paths_keep_every_bit_across_block_widths(monkeypatch):
+    # species 1 aborts once x1 passes 4: 11 of the 12 paths abort, two of
+    # them in the second chunk
+    m = parse_model(json.dumps({
+        "n": 2, "general": {"f": ["1 - 0.4*x1", "1 - x2"],
+                            "g": ["0.5*sqrt(4 - x1)", "1"]},
+        "sigma": np.eye(2).tolist()}))
+    cfg = SimConfig(n_paths=12, t_max=60.0, dt=1e-2, burn_in=0.5, seed=3)
+    runs = []
+    for width in (1, 7, cfg.n_paths):
+        cap_width(monkeypatch, width, m.n)
+        runs.append(simulate_ensemble(m, np.ones(2), cfg))
+    ref = runs[0]
+    assert 0 < len(ref.path_errors) < cfg.n_paths
+    assert ref.t_end[list(ref.path_errors)].max() > engine._CHUNK * cfg.dt
+    for other in runs[1:]:
+        for name in ("y_end", "t_end", "y_burn", "extinct_time", "exponents",
+                     "mean_state", "mean_sq_state", "path_mean_state"):
+            assert np.array_equal(getattr(ref, name), getattr(other, name),
+                                  equal_nan=True), name
+        assert np.array_equal(ref.histogram.masses, other.histogram.masses)
+        for wa, wb in zip(ref.window_histograms, other.window_histograms):
+            assert np.array_equal(wa.masses, wb.masses)
+        assert ref.path_errors == other.path_errors
+    # the occupation sums see each path's stored states up to its abort
+    trajs = engine.simulate_paths(m, np.ones(2), cfg, range(cfg.n_paths))
+    for traj in trajs:
+        kept = traj.log_states[cfg.burn_steps + 1:]
+        if traj.error is not None:
+            kept = kept[:-1]          # the abort step repeats the last state
+        assert np.allclose(np.exp(kept).mean(axis=0),
+                           ref.path_mean_state[traj.path_id], rtol=1e-12, atol=0)
+    assert {t.path_id: t.error for t in trajs if t.error} == ref.path_errors
+
+
+def test_blocks_are_the_fewest_near_equal_runs_under_the_cap():
+    assert len(engine._blocks(128, 3)) == 1       # the verify budget, one block
+    assert engine._blocks(0, 2) == []
+    row_bytes = engine._CHUNK * 8
+    for n in (1, 2, 3, 5, 40):
+        for n_ids in (1, 2, 63, 64, 65, 128, 130, 1000, 5000):
+            blocks = engine._blocks(n_ids, n)
+            assert [i for b in blocks for i in b] == list(range(n_ids))
+            widths = [len(b) for b in blocks]
+            assert max(widths) - min(widths) <= 1
+            assert max(widths) * n * row_bytes <= engine._BLOCK_BYTES
+            if len(blocks) > 1:       # one block fewer would overflow the cap
+                fewer = -(-n_ids // (len(blocks) - 1))
+                assert fewer * n * row_bytes > engine._BLOCK_BYTES
+
+
 def count_calls(monkeypatch, name):
     calls = []
     orig = getattr(engine.KolmogorovModel, name)
@@ -245,7 +302,7 @@ def test_variable_free_noise_runs_as_constant_noise(monkeypatch):
     # "1 + 0*x1" holds a variable and is evaluated every step
     cfg = SimConfig(n_paths=10, t_max=6.0, dt=1e-2, burn_in=1.0, seed=5)
     ref = simulate_ensemble(expr_model(["1", "1 + 0*x1"]), np.ones(2), cfg)
-    monkeypatch.setattr(engine, "_BLOCK", 4)
+    cap_width(monkeypatch, 4, 2)
     calls = count_calls(monkeypatch, "noise_amp_at")
     model = expr_model(["1", "1"])
     assert isinstance(model.noise, engine.ConstantNoise)

@@ -163,6 +163,15 @@ def test_depth_at_the_limit_parses_compiles_and_formats(shape):
     assert _bare(format_expression(e)) == _bare(text)
 
 
+@pytest.mark.parametrize("text", [
+    "-" * 199 + "x1",          # 200 levels
+    "2" + " ^ -1" * 99,        # 199 levels
+], ids=["unary minus", "signed power tower"])
+def test_echo_of_a_deep_tree_parses_back(text):
+    e = parse_expression(text, 1)
+    assert parse_expression(format_expression(e), 1) == e
+
+
 @pytest.mark.parametrize("shape", list(_nested(3)))
 def test_depth_over_the_limit_is_a_syntax_error(shape):
     text, _ = _nested(_MAX_DEPTH + 1)[shape]
