@@ -1,19 +1,31 @@
 #!/usr/bin/env python3
-"""Layer benchmarks: the maximin LP by table shape, or the engine by model.
+"""Layer benchmarks: the maximin LP by table shape, classify by model, or
+the engine by model.
 
 Run from the repository root:
 
     python3 scripts/bench.py --label lp                 # writes BENCH_lp.json
     python3 scripts/bench.py --label lp --against ../other-checkout
+    python3 scripts/bench.py --section classify --label classify --against ../other
     python3 scripts/bench.py --section engine --label engine --against ../other
 
 --section lp (the default) classifies seeded competitive and food-chain
-Lotka-Volterra communities of 3-10 species and keeps every table handed
-to ``solve_maximin`` (the script wraps ``measures.solve_maximin`` and
-``classify.solve_maximin``; the library itself is untouched).  Then it
-times each kept table alone, takes the fastest of REPEATS solves, and
+Lotka-Volterra communities of 3-10 species and keeps the block of every
+face discovery examines (rebuilt from the final table: a face's rows are
+the measures on its proper subfaces, all found before it), whether or
+not discovery solved an LP there, and every table the verdict tests hand
+to ``solve_maximin`` after discovery (the script wraps
+``measures.solve_maximin``, ``classify.solve_maximin`` and
+``classify.discover_boundary``; the library itself is untouched).  Then
+it times each kept table alone, takes the fastest of REPEATS solves, and
 reports per (rows, species) shape the median over that shape's tables
 (at most MAX_TIMED of them, spread evenly), with the machine it ran on.
+
+--section classify times ``classify`` on each of those communities and
+on the 12-species competitive community from ``default_rng(0)``,
+CLASSIFY_ROUNDS times, and reports the median time per model with its LP
+calls, the faces discovery examined and how many of them it decided
+without an LP.
 
 --section engine times ``simulate_ensemble`` on each model of the
 ``verify_ensemble`` benchmark workload at 128 paths, with the horizon,
@@ -25,14 +37,16 @@ Timings taken in separate runs drift with the host's speed.  --against
 CHECKOUT loads that checkout's package beside this one and times both
 on every table or model back to back, in alternating order.  An LP shape
 also gets that solver's median and the median over its tables of the
-per-table time ratio; an engine model gets the other throughput, the
+per-table time ratio; a classify or engine model gets the other time, the
 median over rounds of the time ratio (this checkout over the other) and
-whether both gave the same terminal states bit for bit.
+whether both gave the same verdict document or terminal states bit for
+bit.
 """
 
 import argparse
 import collections
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
@@ -48,14 +62,13 @@ import numpy as np  # noqa: E402
 
 import stokolmo  # noqa: E402
 
-# the package exports a function named classify, so fetch the modules
-classify_mod = importlib.import_module("stokolmo.classify")
 measures = importlib.import_module("stokolmo.measures")
 
 SIZES = range(3, 11)
 SEEDS = (1, 2)
 REPEATS = 9         # solves per table; the fastest counts
 MAX_TIMED = 60
+CLASSIFY_ROUNDS = 3  # classify calls per model and checkout; the median counts
 
 ENGINE_PATHS = 128
 ENGINE_DT = 1e-3
@@ -101,23 +114,89 @@ def food_chain(rng, n) -> dict:
     return lv_doc(a, B, s)
 
 
+def communities(seeds) -> list:
+    """(label, model document) of every seeded community, in a fixed order."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        out += [(f"{make.__name__}_{n}_seed{seed}", make(rng, n))
+                for make in (competitive, food_chain) for n in SIZES]
+    return out
+
+
+def twelve_species() -> dict:
+    """The 12-species competitive community from ``default_rng(0)``."""
+    rng = np.random.default_rng(0)
+    a = rng.uniform(1.0, 2.0, 12)
+    B = -rng.uniform(0.0, 1.0 / 12.0, (12, 12))
+    np.fill_diagonal(B, -1.0)
+    return lv_doc(a, B, np.ones(12))
+
+
+def face_blocks(disc) -> list:
+    """The pinned rate block of every face discovery examined, in order.
+    Faces above an unresolved face are skipped unexamined, and a block with
+    an entry of unknown sign is never solved; neither is kept."""
+    table = disc.table
+    n = table.n_species
+    bad = [set(face) for face, _ in disc.unresolved]
+    blocks = []
+    for size in range(1, n):
+        for face in itertools.combinations(range(n), size):
+            if any(u < set(face) for u in bad):
+                continue
+            rates, _, unknown = table.lp_view(table.rows_below(face), face)
+            if unknown is None:
+                blocks.append(rates)
+    return blocks
+
+
+def wrap_lps(pkg, on_table, on_discovery):
+    """Route ``pkg``'s LP calls through ``on_table(rates, discovering)`` and
+    each discovery result through ``on_discovery(disc, lps_inside)``;
+    returns the function that undoes it."""
+    meas = importlib.import_module(pkg.__name__ + ".measures")
+    cls = importlib.import_module(pkg.__name__ + ".classify")
+    solve, discover = meas.solve_maximin, cls.discover_boundary
+    state = {"calls": 0, "discovering": False}
+
+    def counted(rates):
+        state["calls"] += 1
+        on_table(rates, state["discovering"])
+        return solve(rates)
+
+    def discover_counted(*args, **kwargs):
+        before = state["calls"]
+        state["discovering"] = True
+        try:
+            disc = discover(*args, **kwargs)
+        finally:
+            state["discovering"] = False
+        on_discovery(disc, state["calls"] - before)
+        return disc
+
+    meas.solve_maximin = cls.solve_maximin = counted
+    cls.discover_boundary = discover_counted
+
+    def undo():
+        meas.solve_maximin = cls.solve_maximin = solve
+        cls.discover_boundary = discover
+    return undo
+
+
 def collect_tables(seeds) -> list:
     tables = []
-    solve = measures.solve_maximin
 
-    def keep(rates, *args, **kwargs):
-        tables.append(np.array(rates, dtype=float))
-        return solve(rates, *args, **kwargs)
+    def keep(rates, discovering):
+        if not discovering:     # discovery's tables are kept as face blocks
+            tables.append(np.array(rates, dtype=float))
 
-    measures.solve_maximin = classify_mod.solve_maximin = keep
+    undo = wrap_lps(stokolmo, keep, lambda disc, _: tables.extend(face_blocks(disc)))
     try:
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            docs = [make(rng, n) for make in (competitive, food_chain) for n in SIZES]
-            for doc in docs:
-                stokolmo.classify(stokolmo.parse_model(json.dumps(doc)), stokolmo.AnalysisBudget())
+        for _, doc in communities(seeds):
+            stokolmo.classify(stokolmo.parse_model(json.dumps(doc)), stokolmo.AnalysisBudget())
     finally:
-        measures.solve_maximin = classify_mod.solve_maximin = solve
+        undo()
     return tables
 
 
@@ -190,6 +269,69 @@ def lp_section(against) -> dict:
     return doc
 
 
+def lp_counts(pkg, model) -> dict:
+    """LP calls of one classify, faces discovery examined, and how many of
+    those it decided without an LP."""
+    found = {}
+
+    def on_discovery(disc, lps_inside):
+        found["faces"] = len(face_blocks(disc))
+        found["faces_by_bound"] = found["faces"] - lps_inside
+
+    calls = []
+    undo = wrap_lps(pkg, lambda rates, _: calls.append(rates.shape), on_discovery)
+    try:
+        pkg.classify(model, pkg.AnalysisBudget())
+    finally:
+        undo()
+    return {"lp_calls": len(calls), **found}
+
+
+def classify_section(against) -> dict:
+    """Median ``classify`` time per model; every round runs each model once
+    per package, in alternating order."""
+    packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
+    plan = communities(SEEDS) + [("competitive_12", twelve_species())]
+    models = {(k, name): pkg.parse_model(json.dumps(doc))
+              for k, pkg in enumerate(packages) for name, doc in plan}
+    seconds = np.zeros((len(packages), len(plan), CLASSIFY_ROUNDS))
+    verdicts = {}
+    order = list(range(len(packages)))
+    for r in range(CLASSIFY_ROUNDS):
+        for m, (name, _) in enumerate(plan):
+            order.reverse()
+            for k in order:
+                pkg = packages[k]
+                t0 = time.perf_counter()
+                v = pkg.classify(models[k, name], pkg.AnalysisBudget())
+                seconds[k, m, r] = time.perf_counter() - t0
+                verdicts[k, name] = json.dumps(v.to_json_dict(), default=float)
+    out = {}
+    for m, (name, _) in enumerate(plan):
+        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
+        row = {"median_s": round(med[0], 4), **lp_counts(stokolmo, models[0, name])}
+        if against:
+            row["against_median_s"] = round(med[1], 4)
+            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
+            row["against"] = lp_counts(packages[1], models[1, name])
+            row["same_verdict"] = verdicts[0, name] == verdicts[1, name]
+        out[name] = row
+        print(f"{name:>24} {row['median_s']:>8.3f} lp {row['lp_calls']:>5}"
+              f" bound {row['faces_by_bound']:>4}/{row['faces']:<4}"
+              + (f" {row['against_median_s']:>8.3f} lp {row['against']['lp_calls']:>5}"
+                 f" {row['ratio']:6.2f}"
+                 f" {'same verdict' if row['same_verdict'] else 'VERDICT DIFFERS'}"
+                 if against else ""))
+    totals = {"median_s": round(sum(v["median_s"] for v in out.values()), 3),
+              "lp_calls": sum(v["lp_calls"] for v in out.values()),
+              "faces": sum(v["faces"] for v in out.values()),
+              "faces_by_bound": sum(v["faces_by_bound"] for v in out.values())}
+    if against:
+        totals["against_median_s"] = round(sum(v["against_median_s"] for v in out.values()), 3)
+        totals["against_lp_calls"] = sum(v["against"]["lp_calls"] for v in out.values())
+    return {"seeds": list(SEEDS), "rounds": CLASSIFY_ROUNDS, "totals": totals, "models": out}
+
+
 def engine_section(against) -> dict:
     """Median Mpath-steps/s of ``simulate_ensemble`` per model; every round
     runs each model once per package, in alternating order."""
@@ -237,7 +379,7 @@ def engine_section(against) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--section", choices=("lp", "engine"), default="lp",
+    ap.add_argument("--section", choices=("lp", "classify", "engine"), default="lp",
                     help="the layer to time (default: lp)")
     ap.add_argument("--against", help="another checkout timed alongside")
     args = ap.parse_args()
@@ -248,7 +390,8 @@ def main() -> int:
            "git": git_rev(ROOT)}
     if args.against:
         doc["against_git"] = git_rev(args.against)
-    section = lp_section if args.section == "lp" else engine_section
+    section = {"lp": lp_section, "classify": classify_section,
+               "engine": engine_section}[args.section]
     doc.update(section(args.against))
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -228,6 +228,15 @@ class _BlockOut:
     errors: dict[int, str]
 
 
+def _step_sum(buf: np.ndarray) -> np.ndarray:
+    """Sum a (K, P, n) chunk over its steps, one step after another.  numpy
+    adds a wide block row by row, but a (K, 1, 1) one is contiguous along
+    the steps and would be summed pairwise, so it is accumulated in order."""
+    if buf[0].size == 1:
+        return np.add.accumulate(buf, axis=0)[-1]
+    return buf.sum(axis=0)
+
+
 def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                path_ids: Sequence[int], store_states: bool = False) -> _BlockOut:
     n = model.n
@@ -396,9 +405,9 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         if stats_mask.any():
             xbuf = np.exp(ybuf, out=dW[:K])
             xbuf *= stats_mask[:, :, None]
-            sum_x += xbuf.sum(axis=0)
+            sum_x += _step_sum(xbuf)
             xbuf *= xbuf
-            sum_x2 += xbuf.sum(axis=0)
+            sum_x2 += _step_sum(xbuf)
             stats_steps += stats_mask.sum(axis=0)
             wid = np.minimum(((gsteps - burn_idx - 1) * W) // windows_len, W - 1)
             offset = (wid * (nb + 2))[:, None]

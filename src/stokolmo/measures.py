@@ -27,6 +27,14 @@ every other sign to be known, solve for the maximin weights p and margin
 t*, take as band the largest p . ci over the binding rows (p . rates <=
 t* + 1e-12 + 1e-9 |t*|), and decide the sign of t* only beyond
 max(decision_tol, band).  Discovery and every verdict test use it.
+
+Discovery keeps only the sign of a face's test, so it tries bounds
+first: t* lies between the smallest row mean (uniform weights) and the
+smallest best floored weighting of a row (``simplex.maximin_bounds``,
+widened by the solver's own tolerance), and the gate is at most
+max(decision_tol, largest half width).  When both bounds sit on one side
+of that gate the sign is certain and no LP is solved; only a face whose
+bounds straddle the gate goes to :func:`maximin_decision`.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from .engine import EngineError, SimConfig, simulate_paths
 # by name and fails if the attribute is missing, so the name stays importable.
 from .engine import simulate_path  # noqa: F401
 from .model import ConstantNoise, KolmogorovModel, LVDrift, restrict_to_face
-from .simplex import solve_maximin
+from .simplex import maximin_bounds, solve_maximin
 
 _MASK64 = (1 << 64) - 1
 
@@ -420,9 +428,10 @@ class InvasionRateTable:
 
     def rows_below(self, face) -> np.ndarray:
         """Rows whose measure support is a proper subset of ``face``."""
-        fset = set(face)
-        return np.array([k for k, mu in enumerate(self.measures)
-                         if set(mu.support) < fset], dtype=int)
+        face = list(face)
+        size = self.on_support.sum(axis=1)
+        inside = self.on_support[:, face].sum(axis=1)
+        return np.flatnonzero((inside == size) & (size < len(face)))
 
     def lp_view(self, rows=None, cols=None):
         """Rates and half widths of a block, with on-support entries pinned
@@ -492,6 +501,20 @@ def maximin_decision(table: InvasionRateTable, rows=None, cols=None,
     else:
         decision = "unresolved"
     return MaximinDecision(decision, p, t_star, band, rows[hit])
+
+
+def _bound_decision(rates: np.ndarray, ci: np.ndarray, decision_tol: float) -> str | None:
+    """The sign :func:`maximin_decision` gives on a sign-decidable block
+    (pinned rates and half widths) when the closed-form bounds on t* settle
+    it, else None.  The band is p . ci for some row and p on the simplex,
+    so the gate is at most max(decision_tol, max ci)."""
+    lo, hi = maximin_bounds(rates)
+    gate = max(decision_tol, float(ci.max()))
+    if lo > gate:
+        return "positive"
+    if hi < -gate:
+        return "negative"
+    return None
 
 
 def _lv_rates(model: KolmogorovModel, moments: np.ndarray) -> np.ndarray:
@@ -693,22 +716,27 @@ def discover_boundary(model: KolmogorovModel,
                 unresolved.append(
                     (face, f"contains unresolved face {_face_label(poisoned)}"))
                 continue
-            d = maximin_decision(table, table.rows_below(face), face,
-                                 budget.decision_tol)
-            if d.decision == "undecidable":
+            rows = table.rows_below(face)
+            rates, ci, unknown = table.lp_view(rows, face)
+            decision = (_bound_decision(rates, ci, budget.decision_tol)
+                        if unknown is None else None)
+            if decision is None:
+                d = maximin_decision(table, rows, face, budget.decision_tol)
+                decision = d.decision
+            if decision == "undecidable":
                 k, i = d.undecidable
                 unresolved.append((face, (
                     f"invasion rate of species {i + 1} against "
                     f"{table.measures[k].key} is not sign-decidable at this "
                     "Monte Carlo budget")))
-            elif d.decision == "positive":
+            elif decision == "positive":
                 try:
                     mu = _build_face_measure(model, face, budget)
                 except MeasureError as exc:
                     unresolved.append((face, str(exc)))
                 else:
                     table.append(mu, *measure_rates(model, mu))
-            elif d.decision == "unresolved":
+            elif decision == "unresolved":
                 unresolved.append((face, (
                     f"subsystem maximin value {d.t_star:.3g} is too close to zero "
                     "to resolve")))

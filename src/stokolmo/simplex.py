@@ -16,12 +16,17 @@ grid-search oracle and, bit for bit, against the scalar tableau it replaced.
 
 The tableau is (m + 2) x (m + k + 3), with no artificial columns (nothing
 reads them); phase 2 reuses it under a new cost row.  A pivot updates the
-rows with a nonzero pivot-column entry in one array expression, each as
-T[r] - T[r, col] * T[row], and Bland's choices follow the scalar loop's
-order, so the pivots are the same.  Both phases are bounded (phase 1 below
-by 0, t above by the smallest row maximum), so an entering column with no
-leaving row has a roundoff reduced cost, not a ray: the solver stops there
-as optimal and checks as usual.
+rows with a nonzero pivot-column entry, each as T[r] - T[r, col] * T[row],
+in blocks of ``_PIVOT_ROWS`` rows, so its scratch array is at most that
+many tableau rows instead of a second tableau; every element gets the same
+one multiply and one subtract in any blocking.  Bland's choices follow the
+scalar loop's order, so the pivots are the same.  Both phases are bounded
+(phase 1 below by 0, t above by the smallest row maximum), so an entering
+column with no leaving row has a roundoff reduced cost, not a ray: the
+solver stops there as optimal and checks as usual.
+
+``maximin_bounds`` brackets t* in closed form, without a tableau, for
+callers that need only its sign.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ import numpy as np
 _EPS = 1e-12
 _FLOOR = 1e-6                       # smallest weight any species gets
 _T_COLS = np.array([-1.0, 1.0])     # coefficients of t+ and t- in every measure row
+_PIVOT_ROWS = 64                    # rows updated per array expression in a pivot
+_T_TOL = 1e-7                       # relative slack of t* against its own weights
 
 
 class SimplexError(RuntimeError):
@@ -45,12 +52,16 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int, a: np.ndarray):
     a[row] = -0.0               # x - (-0.0 * x) is x: the pivot row passes unchanged
     lo, hi = rows[0], rows[-1] + 1
     if hi - lo == rows.size:    # one band of rows, updated in place
-        band = T[lo:hi]
-        band -= a[lo:hi, None] * prow
+        for s in range(lo, hi, _PIVOT_ROWS):
+            e = min(s + _PIVOT_ROWS, hi)
+            band = T[s:e]
+            band -= a[s:e, None] * prow
     else:
-        band = T.take(rows, 0)
-        band -= a.take(rows)[:, None] * prow
-        T[rows] = band
+        for s in range(0, rows.size, _PIVOT_ROWS):
+            part = rows[s:s + _PIVOT_ROWS]
+            band = T.take(part, 0)
+            band -= a.take(part)[:, None] * prow
+            T[part] = band
     basis[row] = col
 
 
@@ -145,8 +156,25 @@ def solve_maximin(rates: np.ndarray) -> tuple[np.ndarray, float]:
     np.maximum(p, _FLOOR, out=p)
     p /= p.sum()
     achieved = float((rates @ p).min())
-    if abs(achieved - t_star) > 1e-7 * max(1.0, abs(t_star)):
+    if abs(achieved - t_star) > _T_TOL * max(1.0, abs(t_star)):
         # fall back to the directly recomputed value; the certificate must
         # always be consistent with its own weights
         t_star = achieved
     return p, t_star
+
+
+def maximin_bounds(rates: np.ndarray) -> tuple[float, float]:
+    """Closed-form (lo, hi) with lo <= t* <= hi for :func:`solve_maximin`,
+    without solving it.
+
+    Uniform weights are feasible, so t* is at least the smallest row mean.
+    Floored weights give a row at most _FLOOR * sum(row) + (1 - k _FLOOR)
+    max(row), so t* is at most the smallest such value.  Both are widened
+    by _T_TOL * max(1, max |rate|), the most the returned t* may stray
+    from the value its own weights achieve.
+    """
+    k = rates.shape[1]
+    slack = _T_TOL * max(1.0, float(np.abs(rates).max()))
+    lo = float(rates.mean(axis=1).min())
+    hi = float((_FLOOR * rates.sum(axis=1) + (1.0 - k * _FLOOR) * rates.max(axis=1)).min())
+    return lo - slack, hi + slack

@@ -47,11 +47,13 @@ def cap_width(monkeypatch, width, n):
 
 
 def test_block_width_cannot_change_results(monkeypatch):
-    cfg = SimConfig(n_paths=130, t_max=6.0, burn_in=1.0, seed=42)
-    for model in (LOGISTIC, corr_model(0.5)):
+    # 19 blocks against 3, and one path per block (one species) against one block
+    for model, n_paths, widths in ((LOGISTIC, 130, (7, 64)), (corr_model(0.5), 130, (7, 64)),
+                                   (LOGISTIC, 8, (1, 8))):
+        cfg = SimConfig(n_paths=n_paths, t_max=6.0, burn_in=1.0, seed=42)
         x0 = np.ones(model.n)
         runs = []
-        for width in (7, 64):     # 19 blocks against 3
+        for width in widths:
             cap_width(monkeypatch, width, model.n)
             runs.append(simulate_ensemble(model, x0, cfg))
         a, b = runs

@@ -1,14 +1,19 @@
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stokolmo.measures as measures_mod
 from stokolmo.engine import EngineError, SimConfig, simulate_path
 from stokolmo.measures import (AnalysisBudget, DensityError, ErgodicMeasure,
-                               InvasionRateTable, MeasureError, _empirical_measure,
-                               _face_seed, discover_boundary, find_boundary_measures,
+                               InvasionRateTable, MeasureError, _bound_decision,
+                               _empirical_measure, _face_seed, discover_boundary,
+                               find_boundary_measures,
                                invasion_rates, lv_face_equilibrium,
                                maximin_decision, measure_rates,
                                stationary_density_1d, t_quantile_975)
@@ -218,6 +223,43 @@ def test_first_undecidable_entry_in_measure_species_order():
     assert maximin_decision(t, rows=[0, 1], cols=[0, 1]).undecidable is None
 
 
+def _ulps(x: float, n: int) -> float:
+    """x moved by n units in the last place."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, np.inf if n > 0 else -np.inf))
+    return x
+
+
+@st.composite
+def rate_blocks(draw):
+    """A hand table with pinned on-support entries, Monte Carlo half widths
+    up to a gate G and rates in [-1, 1] (so the bound slack is 1e-7), many
+    of them within a few ulps of +-G or +-(G + slack)."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    G = draw(st.sampled_from([1e-9, 1e-6, 0.01, 0.2]))
+    edge = st.builds(lambda e, sign, n: sign * _ulps(e, n),
+                     st.sampled_from([G, G + 1e-7]), st.sampled_from([-1.0, 1.0]),
+                     st.integers(-3, 3))
+    value = st.one_of(st.floats(-1.0, 1.0), edge, st.just(0.0))
+    rates = np.array(draw(st.lists(value, min_size=m * k, max_size=m * k))).reshape(m, k)
+    ci = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5 * G, G]),
+                                min_size=m * k, max_size=m * k))).reshape(m, k)
+    supports = draw(st.lists(st.sets(st.integers(0, k - 1), max_size=k - 1),
+                             min_size=m, max_size=m))
+    ci[(ci >= np.abs(rates))] = 0.0     # off support, every sign is known
+    return hand_table([sorted(s) for s in supports], rates, ci)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rate_blocks())
+def test_bound_decision_agrees_with_the_lp(table):
+    rates, ci, unknown = table.lp_view()
+    assert unknown is None
+    bound = _bound_decision(rates, ci, 1e-9)
+    if bound is not None:
+        assert maximin_decision(table, decision_tol=1e-9).decision == bound
+
+
 def test_invasion_rates_needs_measures(bundled):
     with pytest.raises(MeasureError):
         invasion_rates(bundled["lv_coexist"], [])
@@ -273,6 +315,70 @@ def test_borderline_face_poisons_superfaces():
     assert found == ["origin", "face_2", "face_3", "face_2_3"]
     with pytest.raises(MeasureError):
         find_boundary_measures(m)
+
+
+def lv_community(kind: str, n: int, seed: int):
+    """A generated Lotka-Volterra community: weak competition (every face
+    carries a measure) or a prey under n - 1 predator levels."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.6, 1.2, n)
+    if kind == "competitive":
+        a = rng.uniform(2.0, 3.0, n)
+        B = -rng.uniform(0.0, 0.3 / n, (n, n))
+        np.fill_diagonal(B, -rng.uniform(0.8, 1.2, n))
+    else:
+        a = np.concatenate([[rng.uniform(3.0, 5.0)], -rng.uniform(0.2, 0.8, n - 1)])
+        B = np.diag(-rng.uniform(0.3, 0.8, n))
+        for j in range(1, n):
+            loss = rng.uniform(0.8, 1.2)
+            B[j - 1, j] = -loss
+            B[j, j - 1] = loss * rng.uniform(0.5, 0.95)
+    return parse_model(json.dumps({
+        "n": n, "lv": {"a": a.tolist(), "B": B.tolist(), "g": [1.0] * n},
+        "sigma": np.diag(s).tolist()}))
+
+
+def reference_lv_table(model) -> InvasionRateTable:
+    """Discovery as one maximin LP per face, rows picked by set comparison."""
+    origin = ErgodicMeasure(support=(), kind="dirac-origin", provenance="analytic",
+                            moments=np.zeros(model.n))
+    r0, c0 = measure_rates(model, origin)
+    table = InvasionRateTable(measures=[origin], rates=r0[None], ci=c0[None],
+                              n_species=model.n)
+    for size in range(1, model.n):
+        for face in itertools.combinations(range(model.n), size):
+            rows = [k for k, mu in enumerate(table.measures) if set(mu.support) < set(face)]
+            d = maximin_decision(table, rows, face)
+            assert d.decision in ("positive", "negative")
+            if d.decision == "positive":
+                moments, residual = lv_face_equilibrium(model, face)
+                mu = ErgodicMeasure(support=face, kind="lv-moments", provenance="analytic",
+                                    moments=moments, residual=residual)
+                table.append(mu, *measure_rates(model, mu))
+    return table
+
+
+@pytest.mark.parametrize("kind", ["competitive", "food_chain"])
+def test_bounds_decide_faces_as_the_lp_does(kind, monkeypatch):
+    model = lv_community(kind, 7, seed=5)
+    calls = []
+    real = measures_mod.solve_maximin
+
+    def spy(rates):
+        calls.append(rates.shape)
+        return real(rates)
+
+    monkeypatch.setattr(measures_mod, "solve_maximin", spy)
+    disc = discover_boundary(model)
+    monkeypatch.undo()
+    if kind == "competitive":
+        assert calls == []
+        assert len(disc.measures) == 2 ** 7 - 1
+    ref = reference_lv_table(model)
+    assert [mu.key for mu in disc.measures] == [mu.key for mu in ref.measures]
+    assert np.array_equal(disc.table.rates, ref.rates)
+    assert np.array_equal(disc.table.ci, ref.ci)
+    assert not disc.unresolved
 
 
 def test_empirical_face_measure_matches_lv_truth():
