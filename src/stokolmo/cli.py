@@ -283,7 +283,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # overflow or 0 ** -1 in a model's expressions is reported by the
+        # library's own checks; numpy's warning lines would break the
+        # one-line stderr contract
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except CLIError as exc:
         sys.stderr.write(json.dumps({"error": "input", "message": str(exc)}) + "\n")
         return 2

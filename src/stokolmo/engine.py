@@ -14,19 +14,27 @@ reductions happen in fixed path order after the fact.
 
 Paths are stepped in blocks, vectorized across paths: an ensemble keeps
 running reductions per block, stored paths (:func:`simulate_paths`) keep
-every state.  A block steps ``_CHUNK`` time steps at a time and holds two
-float64 (``_CHUNK``, paths, n) buffers, its noise increments and its log
-states; the paths are split into the fewest contiguous, near-equal blocks
-whose buffer fits the ``_BLOCK_BYTES`` cap.  A path that crosses the
+every state.  A block is laid out species-major: its state is (n, paths)
+and each chunk of ``_CHUNK`` time steps holds two float64 (``_CHUNK``, n,
+paths) buffers, its noise increments and its log states, so every
+per-step operation and every per-species constant or per-path mask runs
+over contiguous rows of paths.  The paths are split into the fewest
+contiguous, near-equal blocks whose buffer fits the ``_BLOCK_BYTES`` cap.
+Each path draws its chunk of standard normals into one reused (``_CHUNK``,
+n) buffer and mixes species i as 0.0 plus the nonzero L[i, j] xi_j terms
+in j order; a zero term would only add a signed zero to a sum that is
+never -0.0, so skipping it changes no bit.  A path that crosses the
 blow-up threshold halts (its terminal state and time are recorded and it
 is frozen out of further arithmetic); crossing the extinction threshold
 is only flagged, since in log coordinates nothing bad happens
 numerically when a species keeps decaying.  Once every path of a block
-has halted the block stops stepping at once.
+has halted the block stops stepping at once.  What leaves a block
+(:class:`EnsembleStats`, :class:`Trajectory`) is path-major again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -36,7 +44,7 @@ from .expressions import ExpressionDomainError
 from .model import ConstantNoise, KolmogorovModel
 
 _CHUNK = 4096   # time steps integrated per noise batch; fixed for reproducibility
-_BLOCK_BYTES = 16 << 20   # cap on one (_CHUNK, paths, n) float64 chunk buffer of a block
+_BLOCK_BYTES = 16 << 20   # cap on one (_CHUNK, n, paths) float64 chunk buffer of a block
 
 _MASK64 = (1 << 64) - 1
 
@@ -78,8 +86,13 @@ class SimConfig:
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
+        for name in ("dt", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValueError("t_max / dt must be a finite step count")
         if not 0.0 <= self.burn_in < self.t_max:
             raise ValueError("need 0 <= burn_in < t_max")
         if self.n_paths < 1:
@@ -215,6 +228,8 @@ def _generators(seed: int, path_ids: Sequence[int]):
 
 @dataclass
 class _BlockOut:
+    """One block's results, path-major: (P,) and (P, n) arrays."""
+
     y_end: np.ndarray
     t_end: np.ndarray
     y_burn: np.ndarray
@@ -229,7 +244,7 @@ class _BlockOut:
 
 
 def _step_sum(buf: np.ndarray) -> np.ndarray:
-    """Sum a (K, P, n) chunk over its steps, one step after another.  numpy
+    """Sum a (K, n, P) chunk over its steps, one step after another.  numpy
     adds a wide block row by row, but a (K, 1, 1) one is contiguous along
     the steps and would be summed pairwise, so it is accumulated in order."""
     if buf[0].size == 1:
@@ -252,48 +267,50 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     blow_thr = cfg.blowup_log_threshold
 
     L = model.gamma_t
-    half_sig = 0.5 * np.diag(model.sigma)
+    # the nonzero terms of (L xi)_i, in j order
+    mix = [[(j, L[i, j]) for j in range(n) if L[i, j] != 0.0] for i in range(n)]
+    half_sig = 0.5 * np.diag(model.sigma)[:, None]
     const_noise = isinstance(model.noise, ConstantNoise)
     if const_noise:
-        g_const = model.noise.g
-        ito_const = half_sig * g_const ** 2
+        g_col = model.noise.g[:, None]
+        ito_const = np.repeat(half_sig * g_col ** 2, P, axis=1)
 
     gens = _generators(cfg.seed, path_ids)
-    Y = np.tile(y0, (P, 1))
-    X = np.empty((P, n))
+    Y = np.repeat(y0[:, None], P, axis=1)
+    X = np.empty((n, P))
     active = np.ones(P, dtype=bool)
-    actf = np.ones((P, 1))
-    terminal = np.tile(y0, (P, 1))
+    actf = np.ones(P)
+    terminal = Y.copy()
     t_end = np.full(P, n_steps * dt)
     halt_step = np.full(P, n_steps + 1, dtype=np.int64)
     blow_time = np.full(P, np.nan)
-    extinct_time = np.full((P, n), np.nan)
-    pending_ext = np.ones((P, n), dtype=bool)
-    y_burn = np.full((P, n), np.nan)
-    sum_x = np.zeros((P, n))
-    sum_x2 = np.zeros((P, n))
+    extinct_time = np.full((n, P), np.nan)
+    pending_ext = np.ones((n, P), dtype=bool)
+    y_burn = np.full((n, P), np.nan)
+    sum_x = np.zeros((n, P))
+    sum_x2 = np.zeros((n, P))
     stats_steps = np.zeros(P, dtype=np.int64)
     hist_counts = np.zeros((W, n, nb + 2))
     errors: dict[int, str] = {}
     states = None
     if store_states:
         states = np.empty((P, n_steps + 1, n))
-        states[:, 0] = Y
+        states[:, 0] = Y.T
     if burn_idx == 0:
         y_burn[:] = Y
     n_live = P    # paths not yet halted; below P the update is masked
 
-    def freeze(rows, step):
-        """Halt ``rows`` at ``step``: record their state, park them at the
-        harmless Y = 0 and mask them out of further arithmetic."""
+    def freeze(cols, step):
+        """Halt the paths ``cols`` at ``step``: record their state, park them
+        at the harmless Y = 0 and mask them out of further arithmetic."""
         nonlocal n_live
-        terminal[rows] = Y[rows]
-        t_end[rows] = step * dt
-        halt_step[rows] = step
-        Y[rows] = 0.0
-        active[rows] = False
-        actf[rows] = 0.0
-        n_live -= len(rows)
+        terminal[:, cols] = Y[:, cols]
+        t_end[cols] = step * dt
+        halt_step[cols] = step
+        Y[:, cols] = 0.0
+        active[cols] = False
+        actf[cols] = 0.0
+        n_live -= len(cols)
 
     def eval_with_isolation(kind: str, step: int):
         """Evaluate drift or noise amplitude at X; on a domain error, find the
@@ -302,7 +319,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         fn = model.drift_at if kind == "drift" else model.noise_amp_at
         while True:
             try:
-                return fn(X)
+                return fn(X.T).T
             except ExpressionDomainError as exc:
                 # each path keeps its own error, so messages ignore the block layout
                 bad = {}
@@ -310,7 +327,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                     if not active[p]:
                         continue
                     try:
-                        fn(X[p])
+                        fn(X[:, p])
                     except ExpressionDomainError as path_exc:
                         bad[p] = path_exc
                 if not bad:
@@ -321,31 +338,32 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                     errors[path_ids[p]] = (
                         f"domain error evaluating {kind} at t={step * dt:.6g}: {path_exc}"
                     )
-                rows = np.array(list(bad), dtype=int)
+                cols = np.array(list(bad), dtype=int)
                 # Y views the stored state of the previous step; park a copy
                 Y = Y.copy()
-                freeze(rows, step)
-                X[rows] = 1.0  # parked state, consistent with Y = 0
+                freeze(cols, step)
+                X[:, cols] = 1.0  # parked state, consistent with Y = 0
 
     windows_len = max(n_steps - burn_idx, 1)
+    eps = np.empty((min(_CHUNK, n_steps), n))
     step = 0
     while step < n_steps:
         K = min(_CHUNK, n_steps - step)
-        # noise increments (L xi)_i = sum_j L[i, j] xi_j, mixed path by path
-        # as broadcast adds so every path sees scalar-identical arithmetic
-        # in any block shape; a contiguous (K, n) sum per path, then one
-        # strided copy into the block's buffer
-        dW = np.empty((K, P, n))
+        # noise increments (L xi)_i, path by path so every path sees the
+        # same bits in any block shape; zero L[i, j] terms are skipped
+        dW = np.empty((K, n, P))
+        draw = eps[:K]
         for p in range(P):
-            eps = gens[p].standard_normal((K, n))
-            mixed = np.zeros((K, n))
-            for j in range(n):
-                mixed += eps[:, j:j + 1] * L[:, j]
-            dW[:, p, :] = mixed
+            gens[p].standard_normal(out=draw)
+            for i, terms in enumerate(mix):
+                acc = 0.0
+                for j, lij in terms:
+                    acc = acc + draw[:, j] * lij
+                dW[:, i, p] = acc
         if const_noise:
-            dW *= g_const
+            dW *= g_col
             dW *= sqrt_dt
-        ybuf = np.empty((K, P, n))
+        ybuf = np.empty((K, n, P))
 
         for k in range(K):
             gstep = step + k + 1
@@ -367,17 +385,15 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             if n_live < P:
                 dY *= actf
             Y = np.add(Y, dY, out=ybuf[k])
-            # one scalar screen per step; nan fails it too and gets the row test
+            # one scalar screen per step; nan fails it too and gets the column test
             if not Y.max() <= blow_thr:
-                over = active & (Y.max(axis=1) > blow_thr)
+                over = active & (Y.max(axis=0) > blow_thr)
                 if over.any():
-                    rows = np.flatnonzero(over)
-                    blow_time[rows] = gstep * dt
-                    freeze(rows, gstep)
+                    cols = np.flatnonzero(over)
+                    blow_time[cols] = gstep * dt
+                    freeze(cols, gstep)
             if gstep == burn_idx:
-                y_burn[active] = Y[active]
-            if store_states:
-                states[:, gstep] = Y
+                y_burn[:, active] = Y[:, active]
             if n_live == 0:
                 # every path halted: the remaining steps would all be masked out
                 K = k + 1
@@ -385,13 +401,15 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 break
         # keep the state, not a view of the chunk's buffers
         Y = Y.copy()
+        if store_states:
+            states[:, step + 1:step + K + 1] = ybuf.transpose(2, 0, 1)
 
         gsteps = np.arange(step + 1, step + K + 1)
         valid = gsteps[:, None] < halt_step[None, :]          # (K, P)
         stats_mask = valid & (gsteps[:, None] > burn_idx)
         # extinction first hits, only while a path is live
         hits = ybuf < cfg.extinct_log_threshold
-        hits &= valid[:, :, None]
+        hits &= valid[:, None, :]
         hits &= pending_ext
         anyhit = hits.any(axis=0)
         if anyhit.any():
@@ -404,7 +422,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         # with X put into the spent noise buffer
         if stats_mask.any():
             xbuf = np.exp(ybuf, out=dW[:K])
-            xbuf *= stats_mask[:, :, None]
+            xbuf *= stats_mask[:, None, :]
             sum_x += _step_sum(xbuf)
             xbuf *= xbuf
             sum_x2 += _step_sum(xbuf)
@@ -412,7 +430,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             wid = np.minimum(((gsteps - burn_idx - 1) * W) // windows_len, W - 1)
             offset = (wid * (nb + 2))[:, None]
             for i in range(n):
-                scaled = ybuf[:, :, i] - grid.lo
+                scaled = ybuf[:, i] - grid.lo
                 scaled *= inv_width
                 idx = scaled.astype(np.int64)
                 del scaled
@@ -428,22 +446,22 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
 
     # paths that ran to the horizon keep their final state as terminal
     ran_out = halt_step > n_steps
-    terminal[ran_out] = Y[ran_out]
+    terminal[:, ran_out] = Y[:, ran_out]
     if store_states:
-        # a halted row stored the parked value at its halt step; rewrite it
+        # a halted path stored the parked value at its halt step; rewrite it
         for p in np.flatnonzero(~ran_out):
-            states[p, halt_step[p]] = terminal[p]
+            states[p, halt_step[p]] = terminal[:, p]
     return _BlockOut(
-        y_end=terminal, t_end=t_end, y_burn=y_burn, blow_time=blow_time,
-        extinct_time=extinct_time, sum_x=sum_x, sum_x2=sum_x2,
-        stats_steps=stats_steps, hist_counts=hist_counts, states=states,
-        errors=errors,
+        y_end=terminal.T.copy(), t_end=t_end, y_burn=y_burn.T.copy(),
+        blow_time=blow_time, extinct_time=extinct_time.T.copy(),
+        sum_x=sum_x.T.copy(), sum_x2=sum_x2.T.copy(), stats_steps=stats_steps,
+        hist_counts=hist_counts, states=states, errors=errors,
     )
 
 
 def _blocks(n_ids: int, n: int) -> list[range]:
     """Split positions 0..n_ids-1 into the fewest contiguous blocks, in order,
-    whose (_CHUNK, width, n) float64 buffer fits in ``_BLOCK_BYTES``; the
+    whose (_CHUNK, n, width) float64 buffer fits in ``_BLOCK_BYTES``; the
     widths differ by at most one.  A path wider than the cap runs alone."""
     width = max(1, _BLOCK_BYTES // (_CHUNK * n * 8))
     count = -(-n_ids // width)

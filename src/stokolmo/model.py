@@ -78,6 +78,13 @@ class LVDrift:
 
     a: np.ndarray
     B: np.ndarray
+    # (n, 1) column views of a and of each B[:, j], for species-row evaluation
+    a_col: np.ndarray = field(init=False, repr=False, compare=False)
+    B_cols: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.a_col = self.a[:, None]
+        self.B_cols = tuple(self.B[:, j:j + 1] for j in range(self.B.shape[1]))
 
 
 @dataclass
@@ -93,8 +100,9 @@ class _Expressions:
         return self._compiled
 
     def at(self, x: np.ndarray) -> np.ndarray:
+        """Values at x, (n,) or (paths, n); the result keeps x's memory order."""
         cols = [x[..., j] for j in range(x.shape[-1])]
-        out = np.empty(x.shape)
+        out = np.empty_like(x)
         for i, fn in enumerate(self.compiled()):
             out[..., i] = fn(cols)
         return out
@@ -140,19 +148,29 @@ class KolmogorovModel:
         return isinstance(self.drift, LVDrift) and isinstance(self.noise, ConstantNoise)
 
     def drift_at(self, x: np.ndarray) -> np.ndarray:
-        """Per-capita growth rates; x is (n,) or (paths, n), same shape out."""
+        """Per-capita growth rates; x is (n,) or (paths, n), same shape out.
+
+        A (paths, n) input may be in any memory order.  It is evaluated one
+        species row at a time over ``x.T``, so a transposed species-major
+        (n, paths) array, as the engine passes, has contiguous rows and the
+        result's transpose is species-major too.  Each entry is
+        a_i + x_0 B_i0 + x_1 B_i1 + ... summed in that order, whatever the
+        shape or order of x.
+        """
         x = np.asarray(x, dtype=float)
         if isinstance(self.drift, LVDrift):
-            a, B = self.drift.a, self.drift.B
             if x.ndim == 1:
+                a, B = self.drift.a, self.drift.B
                 out = a.copy()
                 for j in range(self.n):
                     out = out + x[j] * B[:, j]
                 return out
-            out = a + x[:, 0:1] * B[:, 0]
+            B_cols = self.drift.B_cols
+            xt = x.T
+            out = self.drift.a_col + B_cols[0] * xt[0]
             for j in range(1, self.n):
-                out += x[:, j : j + 1] * B[:, j]
-            return out
+                out += B_cols[j] * xt[j]
+            return out.T
         return self.drift.at(x)
 
     def noise_amp_at(self, x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from stokolmo.cli import main
 from stokolmo.engine import EngineError
@@ -153,11 +161,16 @@ def test_foodchain_inconclusive(capsys, tmp_path):
     ("simulate", "models/logistic.json", "--x0", "-1"),    # not positive
     ("simulate", "models/logistic.json", "--x0", "a,b"),
     ("simulate", "models/logistic.json", "--t", "-5"),     # bad config
+    ("simulate", "models/logistic.json", "--t", "inf"),
+    ("simulate", "models/logistic.json", "--dt", "nan"),
+    ("verify", "models/logistic.json", "--dt", "nan"),
 ])
 def test_input_errors_are_json_and_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
-    diag = json.loads(err.strip().splitlines()[-1])
+    lines = err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
     assert diag["error"] == "input"
     assert diag["message"]
 
@@ -206,3 +219,60 @@ def test_library_errors_are_json_and_exit_2(capsys, monkeypatch, target, error):
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": error.__name__,
                                     "message": "forced failure"}
+
+
+# -- any model text: exit 0, 1 or 2, and exit 2 leaves one JSON line ------------
+
+def run_check_on(text: str):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["check", path])
+    finally:
+        os.unlink(path)
+    # outside a test run each warning is one more stderr line
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "lv", "general", "sigma", "a", "B",
+                                       "g", "f"]) | st.text(max_size=4),
+                      inner, max_size=4),
+    max_leaves=12)
+
+expression_text = st.text(max_size=24) | st.text(
+    alphabet="x12+-*/^(). 0123456789e", max_size=24) | st.sampled_from([
+        "exp(x1)", "ln(x1)", "sqrt(-x1)", "1/(x1-x1)", "x1^x2^x1", "exp(exp(x1))",
+        "1e308*10", "x1^-1", "ln(0)", "2 - x1"])
+
+
+@st.composite
+def general_models(draw):
+    n = draw(st.integers(1, 2))
+    f = draw(st.lists(expression_text, min_size=n, max_size=n))
+    g = draw(st.lists(st.sampled_from(["1", "0.5", "1 + 0*x1"]) | expression_text,
+                      min_size=n, max_size=n))
+    return json.dumps({"n": n, "general": {"f": f, "g": g},
+                       "sigma": np.eye(n).tolist()})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.text(max_size=40) | json_values.map(json.dumps) | general_models())
+# 0 ^ -1 and an overflowing g * g, each once printed a numpy warning line
+@example(text='{"n": 1, "general": {"f": ["1"], "g": ["x1^-1"]}, "sigma": [[1.0]]}')
+@example(text='{"n": 1, "general": {"f": ["16"], "g": ["exp(exp(x1))"]}, "sigma": [[1.0]]}')
+def test_check_on_any_text_exits_0_1_or_2(text):
+    code, lines = run_check_on(text)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1, lines
+        assert "error" in json.loads(lines[0])

@@ -7,7 +7,8 @@ from stokolmo import engine
 from stokolmo.engine import (EngineError, GridSpec, SimConfig,
                              empirical_lyapunov, occupation_histogram,
                              simulate_ensemble, simulate_path)
-from stokolmo.model import parse_model
+from stokolmo.model import load_model, parse_model
+from tests.conftest import model_path
 
 LOGISTIC = parse_model(json.dumps({
     "n": 1, "lv": {"a": [2.0], "B": [[-1.0]], "g": [1.0]}, "sigma": [[1.0]],
@@ -32,6 +33,12 @@ def test_config_validation():
         SimConfig(n_paths=0)
     with pytest.raises(ValueError):
         SimConfig(extinct_log_threshold=1.0)
+    for field, value in (("dt", np.nan), ("dt", np.inf), ("t_max", np.inf),
+                         ("t_max", np.nan), ("t_max", -np.inf)):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            SimConfig(**{field: value})
+    with pytest.raises(ValueError, match="finite step count"):
+        SimConfig(dt=1e-320, t_max=1e10)
 
 
 def test_bad_x0_rejected():
@@ -324,3 +331,258 @@ def test_halted_block_stops_stepping(monkeypatch):
     last_halt = int(np.rint(stats.t_end / cfg.dt).max())
     assert last_halt < engine._CHUNK          # every path halted in the first chunk
     assert len(calls) <= last_halt
+
+
+# -- the species-major block against the path-major reference ------------------
+
+def _path_major_step_sum(buf):
+    if buf[0].size == 1:
+        return np.add.accumulate(buf, axis=0)[-1]
+    return buf.sum(axis=0)
+
+
+def _path_major_block(model, y0, cfg, path_ids, store_states=False):
+    """The engine block as it was laid out path-major, (paths, n) states and
+    (K, paths, n) chunks with path-by-path noise mixing over every L[i, j];
+    kept only as the bit-for-bit reference for ``engine._run_block``."""
+    n = model.n
+    P = len(path_ids)
+    n_steps = cfg.n_steps
+    burn_idx = cfg.burn_steps
+    dt = cfg.dt
+    sqrt_dt = np.sqrt(dt)
+    W = cfg.n_windows
+    grid = cfg.grid
+    nb = grid.bins
+    inv_width = 1.0 / grid.width
+    blow_thr = cfg.blowup_log_threshold
+
+    L = model.gamma_t
+    half_sig = 0.5 * np.diag(model.sigma)
+    const_noise = isinstance(model.noise, engine.ConstantNoise)
+    if const_noise:
+        g_const = model.noise.g
+        ito_const = half_sig * g_const ** 2
+
+    gens = engine._generators(cfg.seed, path_ids)
+    Y = np.tile(y0, (P, 1))
+    X = np.empty((P, n))
+    active = np.ones(P, dtype=bool)
+    actf = np.ones((P, 1))
+    terminal = np.tile(y0, (P, 1))
+    t_end = np.full(P, n_steps * dt)
+    halt_step = np.full(P, n_steps + 1, dtype=np.int64)
+    blow_time = np.full(P, np.nan)
+    extinct_time = np.full((P, n), np.nan)
+    pending_ext = np.ones((P, n), dtype=bool)
+    y_burn = np.full((P, n), np.nan)
+    sum_x = np.zeros((P, n))
+    sum_x2 = np.zeros((P, n))
+    stats_steps = np.zeros(P, dtype=np.int64)
+    hist_counts = np.zeros((W, n, nb + 2))
+    errors = {}
+    states = None
+    if store_states:
+        states = np.empty((P, n_steps + 1, n))
+        states[:, 0] = Y
+    if burn_idx == 0:
+        y_burn[:] = Y
+    n_live = P
+
+    def freeze(rows, step):
+        nonlocal n_live
+        terminal[rows] = Y[rows]
+        t_end[rows] = step * dt
+        halt_step[rows] = step
+        Y[rows] = 0.0
+        active[rows] = False
+        actf[rows] = 0.0
+        n_live -= len(rows)
+
+    def eval_with_isolation(kind, step):
+        nonlocal Y
+        fn = model.drift_at if kind == "drift" else model.noise_amp_at
+        while True:
+            try:
+                return fn(X)
+            except engine.ExpressionDomainError as exc:
+                bad = {}
+                for p in range(P):
+                    if not active[p]:
+                        continue
+                    try:
+                        fn(X[p])
+                    except engine.ExpressionDomainError as path_exc:
+                        bad[p] = path_exc
+                if not bad:
+                    raise EngineError(
+                        f"domain error evaluating {kind} at t={step * dt:.6g}: {exc}"
+                    ) from exc
+                for p, path_exc in bad.items():
+                    errors[path_ids[p]] = (
+                        f"domain error evaluating {kind} at t={step * dt:.6g}: {path_exc}"
+                    )
+                rows = np.array(list(bad), dtype=int)
+                Y = Y.copy()
+                freeze(rows, step)
+                X[rows] = 1.0
+
+    windows_len = max(n_steps - burn_idx, 1)
+    step = 0
+    while step < n_steps:
+        K = min(engine._CHUNK, n_steps - step)
+        dW = np.empty((K, P, n))
+        for p in range(P):
+            eps = gens[p].standard_normal((K, n))
+            mixed = np.zeros((K, n))
+            for j in range(n):
+                mixed += eps[:, j:j + 1] * L[:, j]
+            dW[:, p, :] = mixed
+        if const_noise:
+            dW *= g_const
+            dW *= sqrt_dt
+        ybuf = np.empty((K, P, n))
+
+        for k in range(K):
+            gstep = step + k + 1
+            np.exp(Y, out=X)
+            dY = eval_with_isolation("drift", gstep)
+            if const_noise:
+                dY -= ito_const
+                dY *= dt
+                dY += dW[k]
+            else:
+                G = eval_with_isolation("noise", gstep)
+                ito = half_sig * G
+                ito *= G
+                dY -= ito
+                dY *= dt
+                G *= dW[k]
+                G *= sqrt_dt
+                dY += G
+            if n_live < P:
+                dY *= actf
+            Y = np.add(Y, dY, out=ybuf[k])
+            if not Y.max() <= blow_thr:
+                over = active & (Y.max(axis=1) > blow_thr)
+                if over.any():
+                    rows = np.flatnonzero(over)
+                    blow_time[rows] = gstep * dt
+                    freeze(rows, gstep)
+            if gstep == burn_idx:
+                y_burn[active] = Y[active]
+            if store_states:
+                states[:, gstep] = Y
+            if n_live == 0:
+                K = k + 1
+                ybuf = ybuf[:K]
+                break
+        Y = Y.copy()
+
+        gsteps = np.arange(step + 1, step + K + 1)
+        valid = gsteps[:, None] < halt_step[None, :]
+        stats_mask = valid & (gsteps[:, None] > burn_idx)
+        hits = ybuf < cfg.extinct_log_threshold
+        hits &= valid[:, :, None]
+        hits &= pending_ext
+        anyhit = hits.any(axis=0)
+        if anyhit.any():
+            first = hits.argmax(axis=0)
+            t_hit = (step + first + 1) * dt
+            extinct_time[anyhit] = t_hit[anyhit]
+            pending_ext &= ~anyhit
+        if stats_mask.any():
+            xbuf = np.exp(ybuf, out=dW[:K])
+            xbuf *= stats_mask[:, :, None]
+            sum_x += _path_major_step_sum(xbuf)
+            xbuf *= xbuf
+            sum_x2 += _path_major_step_sum(xbuf)
+            stats_steps += stats_mask.sum(axis=0)
+            wid = np.minimum(((gsteps - burn_idx - 1) * W) // windows_len, W - 1)
+            offset = (wid * (nb + 2))[:, None]
+            for i in range(n):
+                scaled = ybuf[:, :, i] - grid.lo
+                scaled *= inv_width
+                idx = scaled.astype(np.int64)
+                np.clip(idx, -1, nb, out=idx)
+                idx += offset + 1
+                hist_counts[:, i] += np.bincount(
+                    idx[stats_mask], minlength=W * (nb + 2)).reshape(W, nb + 2)
+        step += K
+        if n_live == 0:
+            break
+
+    ran_out = halt_step > n_steps
+    terminal[ran_out] = Y[ran_out]
+    if store_states:
+        for p in np.flatnonzero(~ran_out):
+            states[p, halt_step[p]] = terminal[p]
+    return engine._BlockOut(
+        y_end=terminal, t_end=t_end, y_burn=y_burn, blow_time=blow_time,
+        extinct_time=extinct_time, sum_x=sum_x, sum_x2=sum_x2,
+        stats_steps=stats_steps, hist_counts=hist_counts, states=states,
+        errors=errors,
+    )
+
+
+CORR3 = parse_model(json.dumps({
+    "n": 3, "lv": {"a": [1.0, 0.8, 0.6],
+                   "B": [[-1.0, -0.2, 0.1], [-0.3, -1.0, -0.2], [0.1, -0.1, -1.0]],
+                   "g": [0.7, 1.3, 0.9]},
+    "sigma": [[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]]}))
+
+ABORTING = parse_model(json.dumps({
+    "n": 2, "general": {"f": ["1 - 0.4*x1", "1 - x2"],
+                        "g": ["0.5*sqrt(4 - x1)", "1"]},
+    "sigma": np.eye(2).tolist()}))
+
+# model, paths, horizon and the two block widths; each run spans two chunks
+# unless every path halts in the first
+REFERENCE_CASES = {
+    "logistic": (LOGISTIC, 5, 45.0, (1, 5)),
+    "corr3_lv": (CORR3, 6, 45.0, (6, 4)),
+    "holling2d": (load_model(model_path("holling2d")), 6, 45.0, (6, 4)),
+    "expression_noise": (expr_model(["1", "0.5 + 0.1*x1"]), 6, 45.0, (6, 4)),
+    "coop_blowup": (load_model(model_path("coop_blowup")), 6, 45.0, (6, 4)),
+    "aborting": (ABORTING, 12, 60.0, (12, 5)),
+}
+
+
+def assert_same_block(out, ref, dt):
+    for name in ("y_end", "t_end", "y_burn", "blow_time", "extinct_time",
+                 "sum_x", "sum_x2", "stats_steps", "hist_counts"):
+        a, b = getattr(out, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert out.errors == ref.errors
+    if ref.states is None:
+        assert out.states is None
+        return
+    assert out.states.shape == ref.states.shape
+    for p in range(ref.states.shape[0]):       # rows are filled up to the halt
+        filled = int(round(ref.t_end[p] / dt)) + 1
+        assert out.states[p, :filled].tobytes() == ref.states[p, :filled].tobytes(), p
+
+
+@pytest.mark.parametrize("store_states", [False, True], ids=["stats", "states"])
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_block_keeps_every_bit_of_the_path_major_reference(case, store_states):
+    model, n_paths, t_max, widths = REFERENCE_CASES[case]
+    cfg = SimConfig(n_paths=n_paths, t_max=t_max, dt=1e-2, burn_in=1.0, seed=3)
+    y0 = np.zeros(model.n)
+    for width in widths:
+        t_end, errors = [], {}
+        for start in range(0, n_paths, width):
+            ids = list(range(start, min(start + width, n_paths)))
+            out = engine._run_block(model, y0, cfg, ids, store_states)
+            ref = _path_major_block(model, y0, cfg, ids, store_states)
+            assert_same_block(out, ref, cfg.dt)
+            t_end.extend(ref.t_end)
+            errors.update(ref.errors)
+        if case == "coop_blowup":      # every block left its first chunk early
+            assert max(t_end) < engine._CHUNK * cfg.dt
+        elif case == "aborting":       # some paths abort, some in the second chunk
+            assert 0 < len(errors) < n_paths
+            assert max(t_end[p] for p in errors) > engine._CHUNK * cfg.dt
+        else:
+            assert min(t_end) == cfg.t_max > engine._CHUNK * cfg.dt

@@ -204,6 +204,28 @@ def test_restrict_rejects_bad_faces():
         restrict_to_face(m, [5])
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "lv": {"a": [1.0, -0.3, 0.7],
+                    "B": [[-1.0, 0.3, -0.7], [0.2, -1.1, 0.4], [-0.6, 0.9, -1.3]],
+                    "g": [1.0, 0.5, 2.0]}, "sigma": np.eye(3).tolist()},
+    # only correctly rounded operations, so every evaluation order of the
+    # elements must give the same bits
+    {"n": 2, "general": {"f": ["2 - x1 - x2/(1 + x2)", "0.5*x1 - 0.1*x2*x1"],
+                         "g": ["1", "0.5 + 0.1*x1"]}, "sigma": np.eye(2).tolist()},
+], ids=["lv", "expressions"])
+def test_drift_rows_keep_the_bits_of_single_points_in_any_memory_order(doc):
+    m = parse(doc)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.01, 5.0, size=(37, m.n))
+    single = np.array([m.drift_at(row) for row in x])
+    for batch in (x, np.asfortranarray(x), np.ascontiguousarray(x.T).T):
+        for fn, ref in ((m.drift_at, single),
+                        (m.noise_amp_at, np.array([m.noise_amp_at(r) for r in x]))):
+            out = fn(batch)
+            assert out.shape == x.shape
+            assert np.ascontiguousarray(out).tobytes() == ref.tobytes()
+
+
 # -- cholesky ----------------------------------------------------------------
 
 def test_cholesky_reproduces_sigma():
