@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 from .model import KolmogorovModel, cholesky_factor, load_model, parse_model, restrict_to_face
 from .engine import (
     EnsembleStats,
-    GridSpec,
     OccupationHistogram,
     SimConfig,
     Trajectory,
-    empirical_lyapunov,
-    occupation_histogram,
     simulate_ensemble,
     simulate_path,
     simulate_paths,
@@ -61,15 +58,12 @@ __all__ = [
     "parse_model",
     "restrict_to_face",
     "SimConfig",
-    "GridSpec",
     "Trajectory",
     "OccupationHistogram",
     "EnsembleStats",
     "simulate_path",
     "simulate_paths",
     "simulate_ensemble",
-    "empirical_lyapunov",
-    "occupation_histogram",
     "AnalysisBudget",
     "ErgodicMeasure",
     "InvasionRateTable",

@@ -125,20 +125,25 @@ def _lv_blocks(model: KolmogorovModel):
     return model.drift.a, model.drift.B, model.noise.g
 
 
-def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray,
-                           gamma_b: float = 1e-3, seed: int = 77) -> tuple[bool, list]:
+# dissipativity penalty weight and direction seed of the sampled bracket
+_GAMMA_B = 1e-3
+_BRACKET_SEED = 77
+
+
+def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray) -> tuple[bool, list]:
     """Probe the Lyapunov bracket with weight vector c on growing spheres.
 
     The bracket is  sum_i c_i x_i f_i / (1 + c.x)
                     - (1/2) sum_ij sigma_ij c_i c_j x_i x_j g_i g_j / (1 + c.x)^2
-                    + gamma_b (1 + sum_i (|f_i| + g_i^2)),
+                    + _GAMMA_B (1 + sum_i (|f_i| + g_i^2)),
     which must be negative for large ||x||.  Directions: the 2n half-axes
     plus 50 random rays; radii 10^1..10^4.  Returns (ok, table) where ok
     means the worst value improves monotonically with radius and is
     negative at the largest one.
     """
     n = model.n
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([_BRACKET_SEED, 1], dtype=np.uint64)))
     dirs = []
     for i in range(n):
         e = np.zeros(n)
@@ -163,7 +168,7 @@ def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray,
         cx = pts @ c
         lin = (pts * f) @ c / (1.0 + cx)
         quad = np.einsum("pi,ij,pj->p", pts * g * c, sig, pts * g) / (1.0 + cx) ** 2
-        pen = gamma_b * (1.0 + np.sum(np.abs(f) + g * g, axis=1))
+        pen = _GAMMA_B * (1.0 + np.sum(np.abs(f) + g * g, axis=1))
         vals = lin - 0.5 * quad + pen
         worst = float(np.max(vals))
         worst_by_radius.append(worst)
@@ -278,24 +283,30 @@ def check_tightness(model: KolmogorovModel) -> AssumptionCheck:
 # ---------------------------------------------------------------------------
 # growth bound
 
-def check_growth_condition(model: KolmogorovModel, delta1: float = 0.5,
-                           seed: int = 91) -> AssumptionCheck:
+# growth exponent delta1 < 1 of the bound and direction seed of its sampling
+_DELTA1 = 0.5
+_GROWTH_SEED = 91
+
+
+def check_growth_condition(model: KolmogorovModel) -> AssumptionCheck:
     """Noise-versus-coefficients growth bound behind the decay-rate claims.
 
     Requires  ||x||^delta1 * sum_i g_i^2(x) / (1 + sum_i (|f_i| + |g_i|^2))
-    to vanish as ||x|| grows.  Lotka-Volterra drift with constant noise
-    passes analytically: the numerator grows like ||x||^delta1 with
-    delta1 < 1 while the denominator grows linearly.  Otherwise the ratio
-    is sampled on growing spheres and must decay monotonically below 1e-3.
+    to vanish as ||x|| grows, with delta1 = ``_DELTA1`` < 1.  Lotka-Volterra
+    drift with constant noise passes analytically: the numerator grows
+    like ||x||^delta1 while the denominator grows linearly.  Otherwise the
+    ratio is sampled on growing spheres and must decay monotonically below
+    1e-3.
     """
-    if _lv_blocks(model) is not None and delta1 < 1.0:
+    if _lv_blocks(model) is not None:
         return AssumptionCheck(
             name="growth-bound", status="pass",
             detail=(f"constant noise with affine drift: ratio decays like "
-                    f"||x||^({delta1} - 1)"),
+                    f"||x||^({_DELTA1} - 1)"),
         )
     n = model.n
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([_GROWTH_SEED, 2], dtype=np.uint64)))
     dirs = [np.eye(n)[i] for i in range(n)]
     for _ in range(50):
         v = rng.uniform(0.05, 1.0, size=n)
@@ -308,7 +319,7 @@ def check_growth_condition(model: KolmogorovModel, delta1: float = 0.5,
         pts = dirs * r
         f = model.drift_at(pts)
         g = model.noise_amp_at(pts)
-        num = r ** delta1 * np.sum(g * g, axis=1)
+        num = r ** _DELTA1 * np.sum(g * g, axis=1)
         den = 1.0 + np.sum(np.abs(f) + g * g, axis=1)
         w = float(np.max(num / den))
         worst.append(w)

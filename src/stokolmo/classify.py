@@ -7,14 +7,18 @@ Persistent: there are weights p on the species simplex with
     sum_i p_i lambda_i(mu) > 0 for every mu in M.
 The best such margin is the maximin value t* over M; a strictly positive
 t* (beyond numerical tolerance and beyond the Monte Carlo uncertainty of
-whichever rows attain the minimum) is the certificate.  That decision,
-and the survivor and repulsion tests below, are the single rule
+whichever rows attain the minimum) is the certificate.  That decision
+and the repulsion test below are the single rule
 ``measures.maximin_decision`` applied to different blocks of the table.
 
 Extinction: some measures are sinks.  mu is a sink when every species
 outside its support has negative invasion rate against it AND the
 community inside its support is itself persistent (so mu really is the
-long-run state of the survivors).  If sinks exist, trajectories converge
+long-run state of the survivors).  The second half holds for every
+measure of a table built by discovery: a face is admitted only when its
+maximin test against the measures below it comes out positive, and
+measures found later have supports at least as large, so that block of
+the table never changes afterwards.  If sinks exist, trajectories converge
 to one of them and the species outside its support die out at the
 predicted exponential rates.  Measures that are neither repelled in all
 outside directions nor sinks form the residual class; when it is
@@ -33,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assumptions import AssumptionReport, run_assumption_checks
-from .measures import (AnalysisBudget, BoundaryDiscovery, ErgodicMeasure,
-                       InvasionRateTable, _face_label, discover_boundary,
-                       maximin_decision)
+from .measures import (_DECISION_TOL, AnalysisBudget, BoundaryDiscovery,
+                       ErgodicMeasure, InvasionRateTable, _face_label,
+                       discover_boundary, maximin_decision)
 from .model import KolmogorovModel
 from .simplex import solve_maximin
 
@@ -169,12 +173,9 @@ def maximin_weights(table: InvasionRateTable) -> tuple[np.ndarray, float]:
     return solve_maximin(table.rates_for_lp())
 
 
-def check_persistence(table: InvasionRateTable,
-                      budget: AnalysisBudget | None = None,
-                      ) -> PersistenceCertificate | PersistenceRefusal:
+def check_persistence(table: InvasionRateTable) -> PersistenceCertificate | PersistenceRefusal:
     """Persistence certificate, or a refusal naming the blocking measure."""
-    budget = budget or AnalysisBudget()
-    d = maximin_decision(table, decision_tol=budget.decision_tol)
+    d = maximin_decision(table)
     if d.decision == "undecidable":
         k, i = d.undecidable
         mu = table.measures[k]
@@ -200,7 +201,7 @@ def check_persistence(table: InvasionRateTable,
                     f"margin {t_star:.4g} at {argmin}"),
             measure=argmin, t_star=t_star, decided=True,
             suggestion="the system is not persistent; see the extinction partition")
-    if abs(t_star) <= budget.decision_tol:
+    if abs(t_star) <= _DECISION_TOL:
         return PersistenceRefusal(
             reason=(f"maximin invasion margin {t_star:.3g} is numerically zero: "
                     "the system sits on the persistence boundary"),
@@ -220,11 +221,13 @@ def _undecidable_reason(table: InvasionRateTable, k: int, i: int) -> str:
             "is not sign-decidable at this budget")
 
 
-def check_extinction_measure(table: InvasionRateTable, k: int,
-                             budget: AnalysisBudget | None = None,
-                             ) -> tuple[str, str]:
-    """('sink'|'other'|'undecided', reason) for measure k of the table."""
-    budget = budget or AnalysisBudget()
+def check_extinction_measure(table: InvasionRateTable, k: int) -> tuple[str, str]:
+    """('sink'|'other'|'undecided', reason) for measure k of the table.
+
+    The table must come from discovery, which admitted measure k only
+    when its survivors passed their own persistence test (module docs);
+    so only the rates of the species outside the support are read here.
+    """
     mu = table.measures[k]
     unknown = table.lp_view([k])[2]
     if unknown is not None:
@@ -233,36 +236,17 @@ def check_extinction_measure(table: InvasionRateTable, k: int,
     if worst >= 0.0:
         return "other", (
             f"some outside species invades {mu.key} (max rate {worst:.4g})")
-    if mu.support:
-        # the survivors against their own boundary: the test discovery
-        # passed when it admitted this measure
-        d = maximin_decision(table, table.rows_below(mu.support), mu.support,
-                             budget.decision_tol)
-        if d.decision == "undecidable":
-            return "undecided", _undecidable_reason(table, *d.undecidable)
-        if d.decision == "negative":
-            # the survivors are not self-persistent; such a measure should
-            # not have been discovered, flag rather than trust it
-            return "undecided", (
-                f"survivor community of {mu.key} fails its own persistence "
-                f"test (margin {d.t_star:.4g})")
-        if d.decision == "unresolved":
-            return "undecided", (
-                f"survivor community of {mu.key} has borderline persistence "
-                f"margin {d.t_star:.4g}")
     return "sink", ""
 
 
-def partition_measures(table: InvasionRateTable,
-                       budget: AnalysisBudget | None = None) -> MeasurePartition:
+def partition_measures(table: InvasionRateTable) -> MeasurePartition:
     """Split the measure table into sinks, repelled measures, and undecided."""
-    budget = budget or AnalysisBudget()
     sinks: list[str] = []
     others: list[str] = []
     others_idx: list[int] = []
     undecided: list[tuple[str, str]] = []
     for k, mu in enumerate(table.measures):
-        cls, reason = check_extinction_measure(table, k, budget)
+        cls, reason = check_extinction_measure(table, k)
         if cls == "sink":
             sinks.append(mu.key)
         elif cls == "other":
@@ -273,7 +257,7 @@ def partition_measures(table: InvasionRateTable,
 
     if not others_idx:
         return MeasurePartition(sinks, others, undecided, "vacuous")
-    d = maximin_decision(table, others_idx, decision_tol=budget.decision_tol)
+    d = maximin_decision(table, others_idx)
     status = {"positive": "holds", "negative": "fails"}.get(d.decision, "undecidable")
     return MeasurePartition(sinks, others, undecided, status,
                             repulsion_margin=d.t_star)
@@ -305,7 +289,6 @@ def classify(model: KolmogorovModel,
     persistence is tested, and failing that the extinction partition is
     built.  Every Inconclusive carries the reason.
     """
-    budget = budget or AnalysisBudget()
     if assumptions is None:
         assumptions = run_assumption_checks(model)
     notes: list[str] = list(assumptions.notes)
@@ -342,7 +325,7 @@ def classify(model: KolmogorovModel,
                 reason=f"boundary face {_face_label(face)} unresolved: {reason}"),
             notes=notes)
 
-    outcome = check_persistence(discovery.table, budget)
+    outcome = check_persistence(discovery.table)
     if isinstance(outcome, PersistenceCertificate):
         if assumptions.growth.status == "heuristic-fail":
             notes = notes + [
@@ -353,7 +336,7 @@ def classify(model: KolmogorovModel,
         return Verdict(kind="Inconclusive", assumptions=assumptions,
                        discovery=discovery, refusal=outcome, notes=notes)
 
-    partition = partition_measures(discovery.table, budget)
+    partition = partition_measures(discovery.table)
     if partition.undecided:
         key, reason = partition.undecided[0]
         return Verdict(

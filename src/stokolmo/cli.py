@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .assumptions import run_assumption_checks
 from .classify import classify
-from .engine import EngineError, SimConfig, simulate_path
+from .engine import EXTINCT_LOG_THRESHOLD, EngineError, SimConfig, simulate_path
 from .foodchain import FoodChainError, classify_food_chain, load_food_chain
 from .measures import AnalysisBudget
 from .model import KolmogorovModel, ModelError, load_model
@@ -154,12 +154,12 @@ def _cmd_classify(args) -> int:
     return 1 if verdict.kind == "Inconclusive" else 0
 
 
-def _trajectory_csv(traj, model: KolmogorovModel, cfg: SimConfig) -> str:
+def _trajectory_csv(traj, model: KolmogorovModel) -> str:
     lines = ["t," + ",".join(f"x{i + 1}" for i in range(model.n)) + ",flags"]
     X = np.exp(traj.log_states)
     for k in range(traj.times.shape[0]):
         tags = [f"x{i + 1}-extinct" for i in range(model.n)
-                if traj.log_states[k, i] < cfg.extinct_log_threshold]
+                if traj.log_states[k, i] < EXTINCT_LOG_THRESHOLD]
         if traj.blowup_time is not None and k == traj.times.shape[0] - 1:
             tags.append("blowup")
         row = "%.6f," % traj.times[k]
@@ -177,7 +177,7 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise CLIError(str(exc))
     if args.format == "csv":
-        _emit(_trajectory_csv(traj, model, cfg), args.out)
+        _emit(_trajectory_csv(traj, model), args.out)
     else:
         doc = {
             "model": model.to_json_dict(), "x0": x0.tolist(), "seed": cfg.seed,

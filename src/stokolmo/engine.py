@@ -27,16 +27,23 @@ never -0.0, so skipping it changes no bit.  A path that crosses the
 blow-up threshold halts (its terminal state and time are recorded and it
 is frozen out of further arithmetic); crossing the extinction threshold
 is only flagged, since in log coordinates nothing bad happens
-numerically when a species keeps decaying.  Once every path of a block
-has halted the block stops stepping at once.  What leaves a block
-(:class:`EnsembleStats`, :class:`Trajectory`) is path-major again.
+numerically when a species keeps decaying.  A path whose state turns
+nan (an expression that evaluated to inf - inf, say) is aborted like a
+domain error: its last finite state is terminal and it carries the
+error.  Once every path of a block has halted the block stops stepping
+at once.  What leaves a block (:class:`EnsembleStats`,
+:class:`Trajectory`) is path-major again.
+
+The blow-up and extinction thresholds, the occupation grid and the
+number of occupation windows are module constants, the same for every
+run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -48,29 +55,18 @@ _BLOCK_BYTES = 16 << 20   # cap on one (_CHUNK, n, paths) float64 chunk buffer o
 
 _MASK64 = (1 << 64) - 1
 
+BLOWUP_LOG_THRESHOLD = 30.0     # a path halts once some ln X_i exceeds this
+EXTINCT_LOG_THRESHOLD = -20.0   # ln X_i below this flags species i extinct
+_N_WINDOWS = 4                  # successive post-burn-in occupation windows
+# uniform log-space occupation grid shared by all species
+_GRID_LO = -22.0
+_GRID_HI = 32.0
+_GRID_BINS = 540
+_GRID_WIDTH = (_GRID_HI - _GRID_LO) / _GRID_BINS
+
 
 class EngineError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform log-space histogram grid shared by all species."""
-
-    lo: float = -22.0
-    hi: float = 32.0
-    bins: int = 540
-
-    def __post_init__(self):
-        if not (self.hi > self.lo and self.bins >= 1):
-            raise ValueError("grid needs hi > lo and at least one bin")
-
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / self.bins
-
-    def edges(self) -> np.ndarray:
-        return self.lo + self.width * np.arange(self.bins + 1)
 
 
 @dataclass(frozen=True)
@@ -80,10 +76,6 @@ class SimConfig:
     burn_in: float = 50.0
     n_paths: int = 200
     seed: int = 0
-    blowup_log_threshold: float = 30.0
-    extinct_log_threshold: float = -20.0
-    n_windows: int = 4
-    grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
         for name in ("dt", "t_max"):
@@ -99,10 +91,6 @@ class SimConfig:
             raise ValueError("n_paths must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.blowup_log_threshold <= 0.0 or self.extinct_log_threshold >= 0.0:
-            raise ValueError("thresholds must bracket zero in log space")
-        if self.n_windows < 1:
-            raise ValueError("n_windows must be at least 1")
 
     @property
     def n_steps(self) -> int:
@@ -125,22 +113,6 @@ class OccupationHistogram:
     masses: np.ndarray            # (n_species, bins + 2)
     total_weight: float           # accumulated time behind the masses
 
-    @property
-    def n_species(self) -> int:
-        return self.masses.shape[0]
-
-    def out_of_range_mass(self, i: int) -> float:
-        return float(self.masses[i, 0] + self.masses[i, -1])
-
-    def mean(self, i: int) -> float:
-        """Occupation mean of X_i from interior bin centers (log-space midpoints)."""
-        inner = self.masses[i, 1:-1]
-        total = inner.sum()
-        if total <= 0.0:
-            return float("nan")
-        centers = np.exp(0.5 * (self.edges[:-1] + self.edges[1:]))
-        return float(np.dot(inner, centers) / total)
-
     def same_grid(self, other: "OccupationHistogram") -> bool:
         return (self.masses.shape == other.masses.shape
                 and np.array_equal(self.edges, other.edges))
@@ -152,38 +124,20 @@ class Trajectory:
 
     times: np.ndarray             # (steps + 1,)
     log_states: np.ndarray        # (steps + 1, n)
-    x0: np.ndarray
-    dt: float
     path_id: int
-    seed: int
     blowup_time: float | None     # time integration halted, None if it ran out
     extinct_times: np.ndarray     # (n,) first crossing of the extinction threshold, nan if never
     error: str | None = None      # why the path was aborted, None if it was not
 
     @property
-    def n_species(self) -> int:
-        return self.log_states.shape[1]
-
-    @property
     def t_end(self) -> float:
         return float(self.times[-1])
-
-    def states(self) -> np.ndarray:
-        """Linear-space states exp(Y); deep extinction may underflow to 0.0 here."""
-        return np.exp(self.log_states)
-
-
-class RateEstimate(NamedTuple):
-    rate: float
-    blowup_flagged: bool
 
 
 @dataclass
 class EnsembleStats:
     """Fixed-order aggregates over an ensemble; never depends on scheduling."""
 
-    cfg: SimConfig
-    x0: np.ndarray
     y_end: np.ndarray             # (P, n) terminal log states (overshoot kept for blown paths)
     t_end: np.ndarray             # (P,)
     y_burn: np.ndarray            # (P, n) log state at the burn-in step, nan if halted earlier
@@ -193,9 +147,7 @@ class EnsembleStats:
     histogram: OccupationHistogram
     window_histograms: list[OccupationHistogram]
     mean_state: np.ndarray        # (n,) pooled post-burn-in time average of X
-    mean_sq_state: np.ndarray     # (n,)
     path_mean_state: np.ndarray   # (P, n) per-path post-burn-in time average of X
-    stats_time: float             # pooled time behind mean_state
     path_errors: dict[int, str]   # path id -> evaluation error, for aborted paths
 
     @property
@@ -236,7 +188,6 @@ class _BlockOut:
     blow_time: np.ndarray
     extinct_time: np.ndarray
     sum_x: np.ndarray
-    sum_x2: np.ndarray
     stats_steps: np.ndarray
     hist_counts: np.ndarray       # (windows, n, bins + 2)
     states: np.ndarray | None     # (P, n_steps + 1, n), filled up to each halt step
@@ -260,11 +211,10 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     burn_idx = cfg.burn_steps
     dt = cfg.dt
     sqrt_dt = np.sqrt(dt)
-    W = cfg.n_windows
-    grid = cfg.grid
-    nb = grid.bins
-    inv_width = 1.0 / grid.width
-    blow_thr = cfg.blowup_log_threshold
+    W = _N_WINDOWS
+    nb = _GRID_BINS
+    inv_width = 1.0 / _GRID_WIDTH
+    blow_thr = BLOWUP_LOG_THRESHOLD
 
     L = model.gamma_t
     # the nonzero terms of (L xi)_i, in j order
@@ -288,7 +238,6 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     pending_ext = np.ones((n, P), dtype=bool)
     y_burn = np.full((n, P), np.nan)
     sum_x = np.zeros((n, P))
-    sum_x2 = np.zeros((n, P))
     stats_steps = np.zeros(P, dtype=np.int64)
     hist_counts = np.zeros((W, n, nb + 2))
     errors: dict[int, str] = {}
@@ -349,6 +298,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     step = 0
     while step < n_steps:
         K = min(_CHUNK, n_steps - step)
+        y_start = Y      # the state before the chunk's first step
         # noise increments (L xi)_i, path by path so every path sees the
         # same bits in any block shape; zero L[i, j] terms are skipped
         dW = np.empty((K, n, P))
@@ -387,11 +337,26 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             Y = np.add(Y, dY, out=ybuf[k])
             # one scalar screen per step; nan fails it too and gets the column test
             if not Y.max() <= blow_thr:
-                over = active & (Y.max(axis=0) > blow_thr)
+                top = Y.max(axis=0)
+                over = active & (top > blow_thr)
                 if over.any():
                     cols = np.flatnonzero(over)
                     blow_time[cols] = gstep * dt
                     freeze(cols, gstep)
+                nan = np.isnan(top)
+                if nan.any():
+                    cols = np.flatnonzero(nan & active)
+                    if cols.size:
+                        # aborted like a domain error, the last finite state terminal
+                        for p in cols:
+                            errors[path_ids[p]] = (
+                                f"non-finite state at t={gstep * dt:.6g}: drift "
+                                "or noise evaluated to inf or nan")
+                        freeze(cols, gstep)
+                        terminal[:, cols] = (ybuf[k - 1] if k else y_start)[:, cols]
+                    # nan * 0 is nan: a parked path whose drift is nan at the
+                    # parked state turns nan again each step; park it again
+                    Y[:, nan] = 0.0
             if gstep == burn_idx:
                 y_burn[:, active] = Y[:, active]
             if n_live == 0:
@@ -408,7 +373,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         valid = gsteps[:, None] < halt_step[None, :]          # (K, P)
         stats_mask = valid & (gsteps[:, None] > burn_idx)
         # extinction first hits, only while a path is live
-        hits = ybuf < cfg.extinct_log_threshold
+        hits = ybuf < EXTINCT_LOG_THRESHOLD
         hits &= valid[:, None, :]
         hits &= pending_ext
         anyhit = hits.any(axis=0)
@@ -424,13 +389,11 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             xbuf = np.exp(ybuf, out=dW[:K])
             xbuf *= stats_mask[:, None, :]
             sum_x += _step_sum(xbuf)
-            xbuf *= xbuf
-            sum_x2 += _step_sum(xbuf)
             stats_steps += stats_mask.sum(axis=0)
             wid = np.minimum(((gsteps - burn_idx - 1) * W) // windows_len, W - 1)
             offset = (wid * (nb + 2))[:, None]
             for i in range(n):
-                scaled = ybuf[:, i] - grid.lo
+                scaled = ybuf[:, i] - _GRID_LO
                 scaled *= inv_width
                 idx = scaled.astype(np.int64)
                 del scaled
@@ -454,7 +417,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     return _BlockOut(
         y_end=terminal.T.copy(), t_end=t_end, y_burn=y_burn.T.copy(),
         blow_time=blow_time, extinct_time=extinct_time.T.copy(),
-        sum_x=sum_x.T.copy(), sum_x2=sum_x2.T.copy(), stats_steps=stats_steps,
+        sum_x=sum_x.T.copy(), stats_steps=stats_steps,
         hist_counts=hist_counts, states=states, errors=errors,
     )
 
@@ -486,8 +449,8 @@ def simulate_paths(model: KolmogorovModel, x0, cfg: SimConfig,
     of an ensemble run with the same seed, because its noise stream is
     keyed by (seed, path id) alone.  Each path also keeps every state,
     (n_steps + 1) x n floats: 4 paths of a 2-species face over 500 000
-    steps take 32 MB.  A path aborted by a domain error comes back cut at
-    the abort, with ``error`` set.
+    steps take 32 MB.  A path aborted by a domain error or a nan state
+    comes back cut at the abort, with ``error`` set.
     """
     x0 = _check_x0(model, x0)
     y0 = np.log(x0)
@@ -503,7 +466,7 @@ def simulate_paths(model: KolmogorovModel, x0, cfg: SimConfig,
             trajs.append(Trajectory(
                 times=times[: halt_steps + 1],
                 log_states=out.states[p, : halt_steps + 1],
-                x0=x0, dt=cfg.dt, path_id=pid, seed=cfg.seed,
+                path_id=pid,
                 blowup_time=None if np.isnan(blow) else float(blow),
                 extinct_times=out.extinct_time[p].copy(),
                 error=out.errors.get(pid),
@@ -538,7 +501,6 @@ def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig) -> EnsembleSta
     extinct_time = np.vstack([o.extinct_time for o in outs])
     sum_x = np.vstack([o.sum_x for o in outs])
     stats_steps = np.concatenate([o.stats_steps for o in outs])
-    sum_x2 = np.vstack([o.sum_x2 for o in outs])
     errors: dict[int, str] = {}
     for o in outs:
         errors.update(o.errors)
@@ -557,14 +519,12 @@ def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig) -> EnsembleSta
     total_steps = int(stats_steps.sum())
     if total_steps > 0:
         mean_state = sum_x.sum(axis=0) / total_steps
-        mean_sq = sum_x2.sum(axis=0) / total_steps
     else:
         mean_state = np.full(model.n, np.nan)
-        mean_sq = np.full(model.n, np.nan)
 
-    edges = cfg.grid.edges()
+    edges = _GRID_LO + _GRID_WIDTH * np.arange(_GRID_BINS + 1)
     windows = []
-    for w in range(cfg.n_windows):
+    for w in range(_N_WINDOWS):
         counts = hist_counts[w]
         tot = counts.sum(axis=1, keepdims=True)
         masses = np.divide(counts, np.maximum(tot, 1.0))
@@ -579,56 +539,9 @@ def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig) -> EnsembleSta
         total_weight=float(pooled_counts[0].sum() * cfg.dt))
 
     return EnsembleStats(
-        cfg=cfg, x0=x0, y_end=y_end, t_end=t_end, y_burn=y_burn,
+        y_end=y_end, t_end=t_end, y_burn=y_burn,
         blowup_time=blow_time, extinct_time=extinct_time, exponents=exponents,
         histogram=pooled, window_histograms=windows,
-        mean_state=mean_state, mean_sq_state=mean_sq,
-        path_mean_state=path_mean, stats_time=total_steps * cfg.dt,
-        path_errors=errors,
+        mean_state=mean_state, path_mean_state=path_mean, path_errors=errors,
     )
 
-
-def empirical_lyapunov(traj: Trajectory, i: int, burn_in: float = 0.0) -> RateEstimate:
-    """Per-capita growth-rate estimate (Y_i(end) - Y_i(burn)) / elapsed.
-
-    A trajectory that halted on blow-up still yields a number, but the
-    estimate is flagged so callers cannot mistake it for a clean rate.
-    """
-    if not 0 <= i < traj.n_species:
-        raise ValueError(f"species index {i} out of range")
-    t_end = traj.t_end
-    if t_end <= burn_in:
-        raise ValueError("trajectory ends before the requested burn-in")
-    k0 = int(round(burn_in / traj.dt))
-    rate = (traj.log_states[-1, i] - traj.log_states[k0, i]) / (t_end - traj.times[k0])
-    return RateEstimate(rate=float(rate), blowup_flagged=traj.blowup_time is not None)
-
-
-def occupation_histogram(traj: Trajectory, grid: GridSpec | None = None,
-                         t_start: float = 0.0,
-                         t_end: float | None = None) -> OccupationHistogram:
-    """Time-weighted occupation measure of a stored path on a log grid.
-
-    Mass is assigned for states at times in (t_start, t_end]; the initial
-    condition carries no mass.  Out-of-grid states land in the under- and
-    overflow slots so the masses always sum to one.
-    """
-    grid = grid or GridSpec()
-    if t_end is None:
-        t_end = traj.t_end
-    if not t_end > t_start:
-        raise ValueError("need t_end > t_start")
-    k0 = int(np.floor(t_start / traj.dt)) + 1
-    k1 = min(int(np.floor(t_end / traj.dt)), traj.log_states.shape[0] - 1)
-    if k1 < k0:
-        raise ValueError("window contains no steps")
-    ys = traj.log_states[k0:k1 + 1]
-    nb = grid.bins
-    idx = np.clip(((ys - grid.lo) / grid.width).astype(np.int64), -1, nb) + 1
-    n = traj.n_species
-    masses = np.empty((n, nb + 2))
-    for i in range(n):
-        counts = np.bincount(idx[:, i], minlength=nb + 2).astype(float)
-        masses[i] = counts / counts.sum()
-    return OccupationHistogram(edges=grid.edges(), masses=masses,
-                               total_weight=float((k1 - k0 + 1) * traj.dt))

@@ -26,13 +26,13 @@ the rate table: pin on-support rates and half widths to zero, require
 every other sign to be known, solve for the maximin weights p and margin
 t*, take as band the largest p . ci over the binding rows (p . rates <=
 t* + 1e-12 + 1e-9 |t*|), and decide the sign of t* only beyond
-max(decision_tol, band).  Discovery and every verdict test use it.
+max(_DECISION_TOL, band).  Discovery and every verdict test use it.
 
 Discovery keeps only the sign of a face's test, so it tries bounds
 first: t* lies between the smallest row mean (uniform weights) and the
 smallest best floored weighting of a row (``simplex.maximin_bounds``,
 widened by the solver's own tolerance), and the gate is at most
-max(decision_tol, largest half width).  When both bounds sit on one side
+max(_DECISION_TOL, largest half width).  When both bounds sit on one side
 of that gate the sign is certain and no LP is solved; only a face whose
 bounds straddle the gate goes to :func:`maximin_decision`.
 """
@@ -53,6 +53,8 @@ from .model import ConstantNoise, KolmogorovModel, LVDrift, restrict_to_face
 from .simplex import maximin_bounds, solve_maximin
 
 _MASK64 = (1 << 64) - 1
+_BATCHES = 20             # batch means behind a Monte Carlo face measure
+_DECISION_TOL = 1e-9      # a maximin margin within this of zero is an exact zero
 
 # two-sided 97.5% Student t quantiles for batch-mean intervals
 _T975 = {
@@ -79,17 +81,9 @@ class DensityError(MeasureError):
 
 @dataclass(frozen=True)
 class AnalysisBudget:
-    """Numerical effort knobs for boundary discovery and classification."""
+    """Numerical effort of boundary discovery: the Monte Carlo face budget."""
 
     face_sim: SimConfig = field(default_factory=lambda: SimConfig(n_paths=4))
-    batches: int = 20
-    decision_tol: float = 1e-9          # |value| below this counts as an exact zero
-
-    def __post_init__(self):
-        if self.batches < 2:
-            raise ValueError("need at least two batches for an interval")
-        if self.decision_tol <= 0.0:
-            raise ValueError("decision_tol must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +475,7 @@ class MaximinDecision(NamedTuple):
     undecidable: tuple[int, int] | None = None   # (table row, species), first unknown sign
 
 
-def maximin_decision(table: InvasionRateTable, rows=None, cols=None,
-                     decision_tol: float = 1e-9) -> MaximinDecision:
+def maximin_decision(table: InvasionRateTable, rows=None, cols=None) -> MaximinDecision:
     """The maximin persistence test on one block of the table (module docs).
 
     An entry of unknown sign is reported before any LP is solved."""
@@ -493,7 +486,7 @@ def maximin_decision(table: InvasionRateTable, rows=None, cols=None,
     p, t_star = solve_maximin(rates)
     hit = np.flatnonzero(rates @ p <= t_star + 1e-12 + 1e-9 * abs(t_star))
     band = float(np.max(ci[hit] @ p)) if hit.size else 0.0
-    gate = max(decision_tol, band)
+    gate = max(_DECISION_TOL, band)
     if t_star > gate:
         decision = "positive"
     elif t_star < -gate:
@@ -503,13 +496,13 @@ def maximin_decision(table: InvasionRateTable, rows=None, cols=None,
     return MaximinDecision(decision, p, t_star, band, rows[hit])
 
 
-def _bound_decision(rates: np.ndarray, ci: np.ndarray, decision_tol: float) -> str | None:
+def _bound_decision(rates: np.ndarray, ci: np.ndarray) -> str | None:
     """The sign :func:`maximin_decision` gives on a sign-decidable block
     (pinned rates and half widths) when the closed-form bounds on t* settle
     it, else None.  The band is p . ci for some row and p on the simplex,
-    so the gate is at most max(decision_tol, max ci)."""
+    so the gate is at most max(_DECISION_TOL, max ci)."""
     lo, hi = maximin_bounds(rates)
-    gate = max(decision_tol, float(ci.max()))
+    gate = max(_DECISION_TOL, float(ci.max()))
     if lo > gate:
         return "positive"
     if hi < -gate:
@@ -589,7 +582,7 @@ def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
     """Occupation-average representation of a face measure, with batch means."""
     fmodel = restrict_to_face(model, face)
     cfg = replace(budget.face_sim, seed=_face_seed(budget.face_sim.seed, face))
-    per_path = max(1, budget.batches // cfg.n_paths)
+    per_path = max(1, _BATCHES // cfg.n_paths)
     sel = np.array(face, dtype=int)
     diag = np.diag(model.sigma)
 
@@ -718,10 +711,9 @@ def discover_boundary(model: KolmogorovModel,
                 continue
             rows = table.rows_below(face)
             rates, ci, unknown = table.lp_view(rows, face)
-            decision = (_bound_decision(rates, ci, budget.decision_tol)
-                        if unknown is None else None)
+            decision = _bound_decision(rates, ci) if unknown is None else None
             if decision is None:
-                d = maximin_decision(table, rows, face, budget.decision_tol)
+                d = maximin_decision(table, rows, face)
                 decision = d.decision
             if decision == "undecidable":
                 k, i = d.undecidable

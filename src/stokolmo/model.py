@@ -155,31 +155,25 @@ class KolmogorovModel:
         (n, paths) array, as the engine passes, has contiguous rows and the
         result's transpose is species-major too.  Each entry is
         a_i + x_0 B_i0 + x_1 B_i1 + ... summed in that order, whatever the
-        shape or order of x.
+        shape or order of x; an (n,) input is evaluated as one row.
         """
         x = np.asarray(x, dtype=float)
         if isinstance(self.drift, LVDrift):
-            if x.ndim == 1:
-                a, B = self.drift.a, self.drift.B
-                out = a.copy()
-                for j in range(self.n):
-                    out = out + x[j] * B[:, j]
-                return out
             B_cols = self.drift.B_cols
-            xt = x.T
+            one = x.ndim == 1
+            xt = x[:, None] if one else x.T
             out = self.drift.a_col + B_cols[0] * xt[0]
             for j in range(1, self.n):
                 out += B_cols[j] * xt[j]
-            return out.T
+            return out[:, 0] if one else out.T
         return self.drift.at(x)
 
     def noise_amp_at(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if isinstance(self.noise, ConstantNoise):
-            g = self.noise.g
-            if x.ndim == 1:
-                return g.copy()
-            return np.broadcast_to(g, x.shape).copy()
+            out = np.empty(x.shape)
+            out[...] = self.noise.g
+            return out
         return self.noise.at(x)
 
     def growth_rate_origin(self) -> np.ndarray:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Verdict
-from .engine import (EngineError, EnsembleStats, OccupationHistogram, SimConfig,
-                     simulate_ensemble, simulate_paths)
+from .engine import (EXTINCT_LOG_THRESHOLD, EngineError, EnsembleStats,
+                     OccupationHistogram, SimConfig, simulate_ensemble, simulate_paths)
 # Not called here any more.  perfbench/tracing.py wraps verify.simulate_path
 # by name and fails if the attribute is missing, so the name stays importable.
 from .engine import simulate_path  # noqa: F401
@@ -118,13 +118,13 @@ def _binomial_ci(count: int, total: int) -> float:
     return 1.96 * float(np.sqrt(p * (1.0 - p) / total))
 
 
-def classify_paths(stats: EnsembleStats, extinct_sets: dict[str, frozenset],
-                   threshold: float) -> tuple[dict[str, int], np.ndarray]:
+def classify_paths(stats: EnsembleStats,
+                   extinct_sets: dict[str, frozenset]) -> tuple[dict[str, int], np.ndarray]:
     """Sort paths by terminal state: sink key, 'interior', 'blow-up', 'unassigned'.
 
-    A path belongs to a sink when the species below the log threshold at
-    the horizon are exactly that sink's predicted extinct set.  The
-    returned labels array holds one class per path; the counts dict is
+    A path belongs to a sink when the species below the extinction log
+    threshold at the horizon are exactly that sink's predicted extinct set.
+    The returned labels array holds one class per path; the counts dict is
     exhaustive and sums to the number of paths.
     """
     P = stats.n_paths
@@ -137,7 +137,8 @@ def classify_paths(stats: EnsembleStats, extinct_sets: dict[str, frozenset],
         if np.isfinite(stats.blowup_time[p]):
             labels[p] = "blow-up"
         else:
-            below = frozenset(int(i) for i in np.flatnonzero(stats.y_end[p] < threshold))
+            below = frozenset(
+                int(i) for i in np.flatnonzero(stats.y_end[p] < EXTINCT_LOG_THRESHOLD))
             if not below:
                 labels[p] = "interior"
             else:
@@ -162,8 +163,7 @@ def estimate_basin_probabilities(stats: EnsembleStats, verdict: Verdict,
     """
     extinct_sets = {
         t.measure.key: frozenset(t.extinct) for t in verdict.targets}
-    threshold = stats.cfg.extinct_log_threshold
-    counts, labels = classify_paths(stats, extinct_sets, threshold)
+    counts, labels = classify_paths(stats, extinct_sets)
     total = stats.n_paths
     estimates = []
     for t in verdict.targets:
@@ -247,7 +247,7 @@ def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list[Check
         detail="a persistent system must not explode",
         values={"blowup_fraction": frac_blow}))
 
-    counts, _ = classify_paths(stats, {}, stats.cfg.extinct_log_threshold)
+    counts, _ = classify_paths(stats, {})
     n_interior = counts["interior"]
     checks.append(CheckResult(
         name="paths_stay_interior",
@@ -390,7 +390,7 @@ def verify_verdict(model: KolmogorovModel, verdict: Verdict,
 
     if verdict.kind == "BlowUpRisk":
         checks, sig, stats = _verify_blowup(model, verdict, cfg, x0)
-        counts, _ = classify_paths(stats, {}, cfg.extinct_log_threshold)
+        counts, _ = classify_paths(stats, {})
     else:
         stats = simulate_ensemble(model, x0, cfg)
         if stats.path_errors:
@@ -399,7 +399,7 @@ def verify_verdict(model: KolmogorovModel, verdict: Verdict,
                          f"errors (first: path {pid}: {msg})")
         if verdict.kind == "Persistent":
             checks, tv_curve = _verify_persistent(model, verdict, stats)
-            counts, _ = classify_paths(stats, {}, cfg.extinct_log_threshold)
+            counts, _ = classify_paths(stats, {})
         else:
             checks, basins, counts, low_conf = _verify_extinction(model, verdict, stats)
 

@@ -1,4 +1,3 @@
-import importlib
 import json
 
 import numpy as np
@@ -6,18 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stokolmo.measures as measures_mod
-from stokolmo.classify import (PersistenceCertificate, PersistenceRefusal,
-                               check_extinction_measure, check_persistence,
-                               classify, maximin_weights, partition_measures)
+from stokolmo.classify import (PersistenceRefusal, check_persistence, classify,
+                               maximin_weights, partition_measures)
 from stokolmo.engine import SimConfig
-from stokolmo.measures import AnalysisBudget, discover_boundary
+from stokolmo.measures import AnalysisBudget, discover_boundary, maximin_decision
 from stokolmo.model import parse_model
-from tests.test_measures import hand_table
-
-BUDGET = AnalysisBudget()
-# the package re-exports the classify function under the module's name
-classify_mod = importlib.import_module("stokolmo.classify")
+from tests.test_measures import hand_table, lv_community
 
 
 # -- persistence certificates --------------------------------------------------
@@ -68,7 +61,7 @@ def test_maximin_weights_matches_certificate(bundled, verdict_of):
 
 def test_bistable_refusal_is_decided(bundled, verdict_of):
     disc = discover_boundary(bundled["lv_bistable"])
-    outcome = check_persistence(disc.table, BUDGET)
+    outcome = check_persistence(disc.table)
     assert isinstance(outcome, PersistenceRefusal)
     assert outcome.decided
     assert np.isclose(outcome.t_star, -2.25, atol=1e-12)
@@ -202,35 +195,20 @@ def test_undecidable_refusal_names_first_entry():
                               "0.05 with uncertainty 0.1: not sign-decidable")
 
 
-def test_survivor_margin_is_the_discovery_margin(bundled, monkeypatch):
-    # discovery settles most faces from bounds without an LP, so the survivor
-    # test is compared with the face test solved directly on the block
-    # discovery examined for that face
-    seen = []
-    real = measures_mod.maximin_decision
-
-    def spy(table, rows=None, cols=None, decision_tol=1e-9):
-        d = real(table, rows, cols, decision_tol)
-        seen.append((None if cols is None else tuple(cols), d))
-        return d
-
-    monkeypatch.setattr(classify_mod, "maximin_decision", spy)
-    compared = 0
-    for name, model in bundled.items():
-        table = discover_boundary(model, BUDGET).table
-        for k, mu in enumerate(table.measures):
-            if not mu.support:
-                continue
-            seen.clear()
-            check_extinction_measure(table, k, BUDGET)
-            survivor = [d for cols, d in seen if cols == mu.support]
-            if survivor:
-                direct = real(table, table.rows_below(mu.support), mu.support,
-                              BUDGET.decision_tol)
-                assert survivor[0].t_star == direct.t_star, (name, mu.key)
-                assert survivor[0].band == direct.band
-                compared += 1
-    assert compared >= 3
+def test_discovered_survivors_are_persistent(bundled):
+    # the sink test reads only the outside rates because every measure
+    # discovery admits passes the maximin test on its own block of the
+    # final table
+    models = dict(bundled, community6=lv_community("competitive", 6, seed=3))
+    checked = 0
+    for name, model in models.items():
+        table = discover_boundary(model).table
+        for mu in table.measures:
+            if mu.support:
+                d = maximin_decision(table, table.rows_below(mu.support), mu.support)
+                assert d.decision == "positive", (name, mu.key)
+                checked += 1
+    assert checked >= 2 ** 6 - 2 + 10     # every face of the community, and more
 
 
 # -- verdict document ------------------------------------------------------------
@@ -274,7 +252,7 @@ def test_certificate_excludes_sinks(model):
     assert v.kind in ("Persistent", "Extinction", "BlowUpRisk", "Inconclusive")
     if v.kind == "Persistent":
         assert v.certificate.t_star > 0.0
-        part = partition_measures(v.discovery.table, BUDGET)
+        part = partition_measures(v.discovery.table)
         assert part.sinks == []
     if v.kind == "Extinction":
         assert v.partition.sinks

@@ -221,6 +221,20 @@ def test_library_errors_are_json_and_exit_2(capsys, monkeypatch, target, error):
                                     "message": "forced failure"}
 
 
+def test_simulate_aborts_a_nan_state(capsys, tmp_path):
+    # inf - inf makes the drift nan at the first step
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps({"n": 1, "general": {
+        "f": ["x1*1e308*10 - x1*1e308*10 + 1 - x1"], "g": ["1"]}, "sigma": [[1]]}))
+    code, out, err = run(capsys, "simulate", str(p), "--t", "1")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "EngineError",
+        "message": "non-finite state at t=0.001: drift or noise evaluated to inf or nan"}
+
+
 # -- any model text: exit 0, 1 or 2, and exit 2 leaves one JSON line ------------
 
 def run_check_on(text: str):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from stokolmo import engine
-from stokolmo.engine import (EngineError, GridSpec, SimConfig,
-                             empirical_lyapunov, occupation_histogram,
-                             simulate_ensemble, simulate_path)
+from stokolmo.engine import (EngineError, SimConfig, simulate_ensemble,
+                             simulate_path)
 from stokolmo.model import load_model, parse_model
 from tests.conftest import model_path
 
@@ -31,8 +30,6 @@ def test_config_validation():
         SimConfig(burn_in=10.0, t_max=5.0)
     with pytest.raises(ValueError):
         SimConfig(n_paths=0)
-    with pytest.raises(ValueError):
-        SimConfig(extinct_log_threshold=1.0)
     for field, value in (("dt", np.nan), ("dt", np.inf), ("t_max", np.inf),
                          ("t_max", np.nan), ("t_max", -np.inf)):
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
@@ -65,7 +62,7 @@ def test_block_width_cannot_change_results(monkeypatch):
             runs.append(simulate_ensemble(model, x0, cfg))
         a, b = runs
         for name in ("y_end", "t_end", "y_burn", "exponents", "mean_state",
-                     "mean_sq_state", "path_mean_state"):
+                     "path_mean_state"):
             assert np.array_equal(getattr(a, name), getattr(b, name),
                                   equal_nan=True), name
         assert np.array_equal(a.histogram.masses, b.histogram.masses)
@@ -100,7 +97,8 @@ def test_histogram_masses_sum_to_one():
     for win in stats.window_histograms:
         assert np.allclose(win.masses.sum(axis=1), 1.0, atol=1e-12)
     # tight default grid: the logistic run should essentially never leave it
-    assert stats.histogram.out_of_range_mass(0) < 1e-6
+    masses = stats.histogram.masses[0]
+    assert masses[0] + masses[-1] < 1e-6
 
 
 def test_noise_channels_carry_target_correlation():
@@ -141,12 +139,10 @@ def test_blowup_halts_and_flags():
     stats = simulate_ensemble(coop, np.array([1.0, 1.0]), cfg)
     assert np.all(np.isfinite(stats.blowup_time))
     assert np.all(stats.t_end < 50.0)
-    assert np.all(stats.y_end.max(axis=1) > cfg.blowup_log_threshold)
-    # replayed trajectory reports the same halt and flags its rate estimate
+    assert np.all(stats.y_end.max(axis=1) > engine.BLOWUP_LOG_THRESHOLD)
+    # the replayed trajectory reports the same halt
     traj = simulate_path(coop, np.array([1.0, 1.0]), cfg, path_id=2)
     assert traj.blowup_time == stats.blowup_time[2]
-    est = empirical_lyapunov(traj, 0)
-    assert est.blowup_flagged
 
 
 def test_extinction_threshold_crossing_recorded():
@@ -161,18 +157,8 @@ def test_extinction_threshold_crossing_recorded():
     assert traj.extinct_times[0] == stats.extinct_time[1, 0]
 
 
-def test_occupation_histogram_from_trajectory():
-    cfg = SimConfig(n_paths=1, t_max=10.0, burn_in=0.0, seed=6)
-    traj = simulate_path(LOGISTIC, X0, cfg)
-    h = occupation_histogram(traj, t_start=2.0)
-    assert np.isclose(h.masses.sum(), 1.0)
-    assert 0.5 < h.mean(0) < 4.0
-    with pytest.raises(ValueError):
-        occupation_histogram(traj, t_start=10.0)
-
-
 def test_window_histograms_cover_disjoint_spans():
-    cfg = SimConfig(n_paths=4, t_max=12.0, burn_in=2.0, seed=8, n_windows=4)
+    cfg = SimConfig(n_paths=4, t_max=12.0, burn_in=2.0, seed=8)
     stats = simulate_ensemble(LOGISTIC, X0, cfg)
     assert len(stats.window_histograms) == 4
     total = sum(w.total_weight for w in stats.window_histograms)
@@ -180,8 +166,13 @@ def test_window_histograms_cover_disjoint_spans():
 
 
 def test_grid_spec_edges():
-    g = GridSpec(lo=-2.0, hi=2.0, bins=4)
-    assert np.allclose(g.edges(), [-2.0, -1.0, 0.0, 1.0, 2.0])
+    stats = simulate_ensemble(LOGISTIC, X0, SimConfig(n_paths=1, t_max=1.0, burn_in=0.0))
+    edges = stats.histogram.edges
+    # 540 bins of width 0.1 from -22 to 32, with the bits of lo + width * k
+    assert np.array_equal(edges, -22.0 + 0.1 * np.arange(541))
+    assert np.isclose(edges[-1], 32.0, rtol=0.0, atol=1e-12)
+    for win in stats.window_histograms:
+        assert win.same_grid(stats.histogram)
 
 
 # -- stored paths run as one block --------------------------------------------
@@ -260,7 +251,7 @@ def test_aborted_paths_keep_every_bit_across_block_widths(monkeypatch):
     assert ref.t_end[list(ref.path_errors)].max() > engine._CHUNK * cfg.dt
     for other in runs[1:]:
         for name in ("y_end", "t_end", "y_burn", "extinct_time", "exponents",
-                     "mean_state", "mean_sq_state", "path_mean_state"):
+                     "mean_state", "path_mean_state"):
             assert np.array_equal(getattr(ref, name), getattr(other, name),
                                   equal_nan=True), name
         assert np.array_equal(ref.histogram.masses, other.histogram.masses)
@@ -276,6 +267,56 @@ def test_aborted_paths_keep_every_bit_across_block_widths(monkeypatch):
         assert np.allclose(np.exp(kept).mean(axis=0),
                            ref.path_mean_state[traj.path_id], rtol=1e-12, atol=0)
     assert {t.path_id: t.error for t in trajs if t.error} == ref.path_errors
+
+
+def test_nan_state_aborts_the_path_at_the_first_step():
+    # inf - inf: the state is nan after one step
+    m = parse_model(json.dumps({
+        "n": 1, "general": {"f": ["x1*1e308*10 - x1*1e308*10 + 1 - x1"], "g": ["1"]},
+        "sigma": [[1]]}))
+    cfg = SimConfig(n_paths=1, t_max=1.0, burn_in=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj, = engine.simulate_paths(m, X0, cfg, [0])
+    assert traj.error == ("non-finite state at t=0.001: drift or noise "
+                          "evaluated to inf or nan")
+    assert np.array_equal(traj.times, [0.0, 0.001])
+    assert np.array_equal(traj.log_states, [[0.0], [0.0]])
+
+
+def test_nan_state_aborts_only_its_path(monkeypatch):
+    # x1 * 1e308 * 2 overflows once x1 passes about 0.9, and the drift of
+    # species 1 turns inf - inf = nan there; each path is aborted at the
+    # step its state turns nan, keeps its last finite state, and no nan
+    # reaches the block's statistics
+    m = parse_model(json.dumps({
+        "n": 2, "general": {"f": ["1 - x1 + (x1*1e308*2 - x1*1e308*2)", "1 - x2"],
+                            "g": ["0.3", "1"]},
+        "sigma": np.eye(2).tolist()}))
+    x0 = np.array([0.5, 1.0])
+    cfg = SimConfig(n_paths=8, t_max=20.0, dt=1e-2, burn_in=0.5, seed=1)
+    runs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for width in (1, 3, cfg.n_paths):
+            cap_width(monkeypatch, width, m.n)
+            runs.append(simulate_ensemble(m, x0, cfg))
+        trajs = engine.simulate_paths(m, x0, cfg, range(cfg.n_paths))
+    ref = runs[0]
+    for other in runs[1:]:
+        for name in ("y_end", "t_end", "path_mean_state", "mean_state"):
+            assert np.array_equal(getattr(ref, name), getattr(other, name)), name
+        assert other.path_errors == ref.path_errors
+    assert len(ref.path_errors) > 1
+    assert len(set(ref.t_end)) > 1
+    assert np.all(np.isfinite(ref.mean_state))
+    assert np.all(np.isfinite(ref.histogram.masses))
+    for traj in trajs:
+        msg = ref.path_errors[traj.path_id]
+        assert traj.error == msg and msg.startswith("non-finite state at t=")
+        assert traj.t_end == ref.t_end[traj.path_id] < cfg.t_max
+        assert np.all(np.isfinite(traj.log_states))
+        # the abort step repeats the last finite state, which is terminal
+        assert np.array_equal(traj.log_states[-1], traj.log_states[-2])
+        assert np.array_equal(traj.log_states[-1], ref.y_end[traj.path_id])
 
 
 def test_blocks_are_the_fewest_near_equal_runs_under_the_cap():
@@ -318,7 +359,7 @@ def test_variable_free_noise_runs_as_constant_noise(monkeypatch):
     stats = simulate_ensemble(model, np.ones(2), cfg)
     assert calls == []
     for name in ("y_end", "t_end", "y_burn", "exponents", "mean_state",
-                 "mean_sq_state", "path_mean_state"):
+                 "path_mean_state"):
         assert np.array_equal(getattr(stats, name), getattr(ref, name),
                               equal_nan=True), name
     assert np.array_equal(stats.histogram.masses, ref.histogram.masses)
@@ -351,11 +392,10 @@ def _path_major_block(model, y0, cfg, path_ids, store_states=False):
     burn_idx = cfg.burn_steps
     dt = cfg.dt
     sqrt_dt = np.sqrt(dt)
-    W = cfg.n_windows
-    grid = cfg.grid
-    nb = grid.bins
-    inv_width = 1.0 / grid.width
-    blow_thr = cfg.blowup_log_threshold
+    W = engine._N_WINDOWS
+    nb = engine._GRID_BINS
+    inv_width = 1.0 / engine._GRID_WIDTH
+    blow_thr = engine.BLOWUP_LOG_THRESHOLD
 
     L = model.gamma_t
     half_sig = 0.5 * np.diag(model.sigma)
@@ -377,7 +417,6 @@ def _path_major_block(model, y0, cfg, path_ids, store_states=False):
     pending_ext = np.ones((P, n), dtype=bool)
     y_burn = np.full((P, n), np.nan)
     sum_x = np.zeros((P, n))
-    sum_x2 = np.zeros((P, n))
     stats_steps = np.zeros(P, dtype=np.int64)
     hist_counts = np.zeros((W, n, nb + 2))
     errors = {}
@@ -482,7 +521,7 @@ def _path_major_block(model, y0, cfg, path_ids, store_states=False):
         gsteps = np.arange(step + 1, step + K + 1)
         valid = gsteps[:, None] < halt_step[None, :]
         stats_mask = valid & (gsteps[:, None] > burn_idx)
-        hits = ybuf < cfg.extinct_log_threshold
+        hits = ybuf < engine.EXTINCT_LOG_THRESHOLD
         hits &= valid[:, :, None]
         hits &= pending_ext
         anyhit = hits.any(axis=0)
@@ -495,13 +534,11 @@ def _path_major_block(model, y0, cfg, path_ids, store_states=False):
             xbuf = np.exp(ybuf, out=dW[:K])
             xbuf *= stats_mask[:, :, None]
             sum_x += _path_major_step_sum(xbuf)
-            xbuf *= xbuf
-            sum_x2 += _path_major_step_sum(xbuf)
             stats_steps += stats_mask.sum(axis=0)
             wid = np.minimum(((gsteps - burn_idx - 1) * W) // windows_len, W - 1)
             offset = (wid * (nb + 2))[:, None]
             for i in range(n):
-                scaled = ybuf[:, :, i] - grid.lo
+                scaled = ybuf[:, :, i] - engine._GRID_LO
                 scaled *= inv_width
                 idx = scaled.astype(np.int64)
                 np.clip(idx, -1, nb, out=idx)
@@ -519,8 +556,7 @@ def _path_major_block(model, y0, cfg, path_ids, store_states=False):
             states[p, halt_step[p]] = terminal[p]
     return engine._BlockOut(
         y_end=terminal, t_end=t_end, y_burn=y_burn, blow_time=blow_time,
-        extinct_time=extinct_time, sum_x=sum_x, sum_x2=sum_x2,
-        stats_steps=stats_steps, hist_counts=hist_counts, states=states,
+        extinct_time=extinct_time, sum_x=sum_x, stats_steps=stats_steps, hist_counts=hist_counts, states=states,
         errors=errors,
     )
 
@@ -550,7 +586,7 @@ REFERENCE_CASES = {
 
 def assert_same_block(out, ref, dt):
     for name in ("y_end", "t_end", "y_burn", "blow_time", "extinct_time",
-                 "sum_x", "sum_x2", "stats_steps", "hist_counts"):
+                 "sum_x", "stats_steps", "hist_counts"):
         a, b = getattr(out, name), getattr(ref, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name

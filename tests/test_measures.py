@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import stokolmo.measures as measures_mod
 from stokolmo.engine import EngineError, SimConfig, simulate_path
-from stokolmo.measures import (AnalysisBudget, DensityError, ErgodicMeasure,
+from stokolmo.measures import (_BATCHES, AnalysisBudget, DensityError, ErgodicMeasure,
                                InvasionRateTable, MeasureError, _bound_decision,
                                _empirical_measure, _face_seed, discover_boundary,
                                find_boundary_measures,
@@ -255,9 +255,9 @@ def rate_blocks(draw):
 def test_bound_decision_agrees_with_the_lp(table):
     rates, ci, unknown = table.lp_view()
     assert unknown is None
-    bound = _bound_decision(rates, ci, 1e-9)
+    bound = _bound_decision(rates, ci)
     if bound is not None:
-        assert maximin_decision(table, decision_tol=1e-9).decision == bound
+        assert maximin_decision(table).decision == bound
 
 
 def test_invasion_rates_needs_measures(bundled):
@@ -416,7 +416,7 @@ def reference_batches(model, face, budget):
     fmodel = restrict_to_face(model, face)
     cfg = dataclasses.replace(budget.face_sim,
                               seed=_face_seed(budget.face_sim.seed, face))
-    per_path = max(1, budget.batches // cfg.n_paths)
+    per_path = max(1, _BATCHES // cfg.n_paths)
     diag = np.diag(model.sigma)
     rates, moments = [], []
     for pid in range(cfg.n_paths):
@@ -446,10 +446,10 @@ def test_empirical_measure_matches_path_by_path_batches():
                     "g": ["1", "1 + 0.1*x1", "1"]},
         "sigma": np.eye(3).tolist()}))
     budget = AnalysisBudget(face_sim=SimConfig(
-        n_paths=3, t_max=30.0, dt=1e-2, burn_in=5.0, seed=1), batches=7)
+        n_paths=3, t_max=30.0, dt=1e-2, burn_in=5.0, seed=1))
     br, bm = reference_batches(m, (0, 1), budget)
     payload = _empirical_measure(m, (0, 1), budget).empirical
-    assert br.shape == (6, 3)
+    assert br.shape == (18, 3)
     assert np.array_equal(payload.batch_rates, br)
     assert np.array_equal(payload.batch_moments, bm)
 
@@ -497,9 +497,3 @@ def test_t_quantile_table():
     with pytest.raises(ValueError):
         t_quantile_975(0)
 
-
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        AnalysisBudget(batches=1)
-    with pytest.raises(ValueError):
-        AnalysisBudget(decision_tol=0.0)

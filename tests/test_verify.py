@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from stokolmo.engine import (GridSpec, OccupationHistogram, SimConfig,
-                             occupation_histogram, simulate_ensemble,
-                             simulate_path)
+from stokolmo.engine import (EnsembleStats, OccupationHistogram, SimConfig,
+                             simulate_ensemble)
 from stokolmo.verify import (_binomial_ci, classify_paths,
                              detect_blowup_signature,
                              estimate_basin_probabilities, tv_distance,
@@ -13,8 +12,8 @@ from stokolmo.verify import (_binomial_ci, classify_paths,
 def hist(masses, lo=-2.0, hi=2.0):
     masses = np.asarray(masses, dtype=float)
     bins = masses.shape[1] - 2
-    g = GridSpec(lo=lo, hi=hi, bins=bins)
-    return OccupationHistogram(edges=g.edges(), masses=masses, total_weight=1.0)
+    edges = lo + (hi - lo) / bins * np.arange(bins + 1)
+    return OccupationHistogram(edges=edges, masses=masses, total_weight=1.0)
 
 
 # -- total variation -----------------------------------------------------------
@@ -56,50 +55,42 @@ def test_tv_rejects_grid_mismatch():
         tv_distance(a, b)
 
 
+def pooled(wins):
+    """One histogram of successive windows, each weighted by its time."""
+    w = np.array([h.total_weight for h in wins])
+    masses = sum(wi * h.masses for wi, h in zip(w, wins)) / w.sum()
+    return OccupationHistogram(edges=wins[0].edges, masses=masses,
+                               total_weight=float(w.sum()))
+
+
 def test_stationary_halves_agree(bundled):
     # self-consistency: the two disjoint halves of a long stationary run
     # must carry the same occupation measure.  A single path needs several
     # thousand time units for its TV floor to drop below 0.05, so the run
     # is pooled across paths, which is exactly what the persistence check
-    # consumes
-    cfg = SimConfig(n_paths=32, t_max=220.0, burn_in=20.0, seed=1,
-                    n_windows=2)
+    # consumes; windows 0+1 and 2+3 are the two halves
+    cfg = SimConfig(n_paths=32, t_max=220.0, burn_in=20.0, seed=1)
     stats = simulate_ensemble(bundled["logistic"], np.array([1.0]), cfg)
-    h1, h2 = stats.window_histograms
+    wins = stats.window_histograms
+    assert len(wins) == 4
+    h1, h2 = pooled(wins[:2]), pooled(wins[2:])
+    assert np.isclose(h1.total_weight, h2.total_weight)
     assert tv_distance(h1, h2) < 0.05
-
-
-def test_single_path_halves_converge_with_span(bundled):
-    # the same statistic on one path shrinks as the halves lengthen
-    vals = []
-    for T in (100.0, 800.0):
-        cfg = SimConfig(n_paths=1, t_max=T, burn_in=0.0, seed=0, dt=2e-3)
-        traj = simulate_path(bundled["logistic"], np.array([1.0]), cfg)
-        mid = 20.0 + (T - 20.0) / 2.0
-        h1 = occupation_histogram(traj, t_start=20.0, t_end=mid)
-        h2 = occupation_histogram(traj, t_start=mid, t_end=T)
-        vals.append(tv_distance(h1, h2))
-    assert vals[1] < vals[0]
 
 
 # -- path classification ---------------------------------------------------------
 
 def synthetic_stats(y_end, blowup_time, n=2):
     P = len(y_end)
-    cfg = SimConfig(n_paths=P, t_max=10.0, burn_in=1.0)
-    from stokolmo.engine import EnsembleStats
     z = np.zeros((P, n))
-    g = GridSpec(bins=2)
-    h = OccupationHistogram(edges=g.edges(),
-                            masses=np.full((n, 4), 0.25), total_weight=1.0)
+    h = hist(np.full((n, 4), 0.25))
     return EnsembleStats(
-        cfg=cfg, x0=np.ones(n), y_end=np.asarray(y_end, dtype=float),
+        y_end=np.asarray(y_end, dtype=float),
         t_end=np.full(P, 10.0), y_burn=z,
         blowup_time=np.asarray(blowup_time, dtype=float),
         extinct_time=np.full((P, n), np.nan), exponents=z,
         histogram=h, window_histograms=[h], mean_state=np.ones(n),
-        mean_sq_state=np.ones(n), path_mean_state=np.ones((P, n)),
-        stats_time=9.0, path_errors={})
+        path_mean_state=np.ones((P, n)), path_errors={})
 
 
 def test_classify_paths_sorting():
@@ -111,7 +102,7 @@ def test_classify_paths_sorting():
                [0.2, -40.0]],     # species 2 extinct -> sink B
         blowup_time=[np.nan, np.nan, np.nan, 1.2, np.nan])
     counts, labels = classify_paths(
-        stats, {"A": frozenset({0}), "B": frozenset({1})}, threshold=-20.0)
+        stats, {"A": frozenset({0}), "B": frozenset({1})})
     assert counts == {"A": 1, "B": 1, "interior": 1, "blow-up": 1,
                       "unassigned": 1}
     assert list(labels) == ["interior", "A", "unassigned", "blow-up", "B"]
