@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests and exit codes of a fixed set of this checkout's outputs.
+
+    python scripts/output_digest.py > digests.json
+
+Diff the output of two checkouts to see whether a change moved any
+verdict or report byte.  The set is:
+
+- the 16 ``stokolmo verify`` reports of the benchmark's verify_ensemble
+  plan (``perfbench/workloads.py``: 8 bundled models, 128 paths, two
+  seeds each);
+- the ``stokolmo simulate`` CSVs of logistic, holling2d and coop_blowup
+  (default horizon, seed 0);
+- the verdicts of the benchmark's three face_mc models, under its face
+  simulation budget, at face seeds 0-5;
+- the reports ``scripts/run_examples.py`` writes at its quick budgets,
+  and its printed summary with the timings taken out.
+
+The CLI commands and library calls run in this process against this
+checkout's ``src/``; ``run_examples.py`` runs as a child process and
+writes ``reports/`` as it always does.  The whole set takes a few
+minutes on 2 CPUs.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import re
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import stokolmo  # noqa: E402
+import stokolmo.cli  # noqa: E402
+from stokolmo.report import canonical_json  # noqa: E402
+
+import run_examples  # noqa: E402
+import workloads  # noqa: E402
+
+SIMULATED = ("logistic", "holling2d", "coop_blowup")
+FACE_SEEDS = range(6)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_output(argv: list[str], out: pathlib.Path) -> dict:
+    """Run ``stokolmo <argv> --out <out>``; digest the file, or stderr without one."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = stokolmo.cli.main(argv + ["--out", str(out)])
+    if out.exists():
+        data = out.read_bytes()
+        out.unlink()
+    else:
+        data = err.getvalue().encode()
+    return {"rc": rc, "sha256": sha256(data)}
+
+
+def verdict_output(path: pathlib.Path, face_seed: int) -> dict:
+    budget = stokolmo.AnalysisBudget(
+        face_sim=stokolmo.SimConfig(**workloads.FACE_SIM, seed=face_seed))
+    try:
+        verdict = stokolmo.classify(stokolmo.load_model(str(path)), budget)
+    except Exception as exc:   # a raised error is an output too
+        return {"rc": type(exc).__name__, "sha256": sha256(str(exc).encode())}
+    return {"rc": 0, "sha256": sha256(canonical_json(verdict.to_json_dict()).encode())}
+
+
+def example_outputs() -> dict:
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_examples.py")],
+                          cwd=ROOT, capture_output=True, text=True)
+    summary = [re.sub(r"\s+\[[0-9.]+s\]$", "", line) for line in proc.stdout.splitlines()
+               if not line.startswith("reports written to")]
+    digests = {"examples/summary": {"rc": proc.returncode,
+                                    "sha256": sha256("\n".join(summary).encode())}}
+    for name in run_examples.MODELS:
+        report = ROOT / "reports" / f"{name}.json"
+        digests[f"examples/{name}"] = {
+            "rc": proc.returncode,
+            "sha256": sha256(report.read_bytes()) if report.exists() else None}
+    return digests
+
+
+def main() -> int:
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        for name, horizon, seeds in workloads.VERIFY_PLAN:
+            for seed in seeds:
+                argv = ["verify", str(ROOT / "models" / f"{name}.json"), "--t", repr(horizon),
+                        "--paths", str(workloads.VERIFY_PATHS), "--seed", str(seed)]
+                digests[f"verify/{name}/seed{seed}"] = cli_output(argv, work / "out")
+        for name in SIMULATED:
+            argv = ["simulate", str(ROOT / "models" / f"{name}.json")]
+            digests[f"simulate/{name}"] = cli_output(argv, work / "out")
+        for name, a, B, _ in workloads.FACE_MC_PLAN:
+            path = work / f"{name}.json"
+            path.write_text(json.dumps(workloads.general_doc(a, B)))
+            for seed in FACE_SEEDS:
+                digests[f"face_mc/{name}/seed{seed}"] = verdict_output(path, seed)
+    digests.update(example_outputs())
+    print(json.dumps(digests, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

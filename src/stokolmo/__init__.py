@@ -10,7 +10,6 @@ from .engine import (
     Trajectory,
     simulate_ensemble,
     simulate_path,
-    simulate_paths,
 )
 from .measures import (
     AnalysisBudget,
@@ -62,7 +61,6 @@ __all__ = [
     "OccupationHistogram",
     "EnsembleStats",
     "simulate_path",
-    "simulate_paths",
     "simulate_ensemble",
     "AnalysisBudget",
     "ErgodicMeasure",

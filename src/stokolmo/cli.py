@@ -45,13 +45,11 @@ def _build_parser() -> _Parser:
                 description="Classify and verify stochastic population models")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_sim_flags(sp, paths_default=200, t_default=500.0):
+    def add_sim_flags(sp, t_default):
         sp.add_argument("--t", type=float, default=t_default,
                         help=f"time horizon (default {t_default:g})")
         sp.add_argument("--dt", type=float, default=1e-3,
                         help="integrator step (default 1e-3)")
-        sp.add_argument("--paths", type=int, default=paths_default,
-                        help=f"ensemble size (default {paths_default})")
         sp.add_argument("--seed", type=int, default=0,
                         help="base RNG seed (default 0)")
 
@@ -78,7 +76,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("model", help="model JSON file")
     sp.add_argument("--x0", default=None,
                     help="comma-separated starting state (default all ones)")
-    add_sim_flags(sp)
+    add_sim_flags(sp, t_default=500.0)
+    sp.add_argument("--paths", type=int, default=200,
+                    help="ensemble size (default 200)")
     sp.add_argument("--out", help="write the run report here instead of stdout")
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="json: report only; csv: also emit histogram/exponent "
@@ -104,11 +104,11 @@ def _parse_x0(text: str | None, model: KolmogorovModel) -> np.ndarray:
     return vals
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args, n_paths: int) -> SimConfig:
     try:
         burn = min(50.0, 0.1 * args.t)
         return SimConfig(dt=args.dt, t_max=args.t, burn_in=burn,
-                         n_paths=args.paths, seed=args.seed)
+                         n_paths=n_paths, seed=args.seed)
     except ValueError as exc:
         raise CLIError(str(exc))
 
@@ -171,7 +171,7 @@ def _trajectory_csv(traj, model: KolmogorovModel) -> str:
 def _cmd_simulate(args) -> int:
     model = _load(args.model)
     x0 = _parse_x0(args.x0, model)
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, n_paths=1)
     try:
         traj = simulate_path(model, x0, cfg, path_id=0)
     except ValueError as exc:
@@ -214,7 +214,7 @@ def _exponents_csv(stats) -> str:
 def _cmd_verify(args) -> int:
     model = _load(args.model)
     x0 = _parse_x0(args.x0, model)
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, args.paths)
     budget = AnalysisBudget(face_sim=replace(AnalysisBudget().face_sim, seed=args.seed))
     t0 = time.perf_counter()
     verdict = classify(model, budget)

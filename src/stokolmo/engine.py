@@ -12,9 +12,10 @@ arithmetic does not depend on how paths are grouped, so an ensemble
 gives bitwise identical results for any block width; all cross-path
 reductions happen in fixed path order after the fact.
 
-Paths are stepped in blocks, vectorized across paths: an ensemble keeps
-running reductions per block, stored paths (:func:`simulate_paths`) keep
-every state.  A block is laid out species-major: its state is (n, paths)
+Paths are stepped in blocks, vectorized across paths, and every block
+keeps running reductions; the leading ``keep`` paths of an ensemble
+also keep every state, so stored paths and the ensemble statistics come
+from one pass.  A block is laid out species-major: its state is (n, paths)
 and each chunk of ``_CHUNK`` time steps holds two float64 (``_CHUNK``, n,
 paths) buffers, its noise increments and its log states, so every
 per-step operation and every per-species constant or per-path mask runs
@@ -30,9 +31,11 @@ is only flagged, since in log coordinates nothing bad happens
 numerically when a species keeps decaying.  A path whose state turns
 nan (an expression that evaluated to inf - inf, say) is aborted like a
 domain error: its last finite state is terminal and it carries the
-error.  Once every path of a block has halted the block stops stepping
-at once.  What leaves a block (:class:`EnsembleStats`,
-:class:`Trajectory`) is path-major again.
+error.  Halted and aborted paths are parked at the start state, where
+step 1 evaluated drift and noise for every path, so they never raise.
+Once every path of a block has halted the block stops stepping at once.
+What leaves a block (:class:`EnsembleStats`, :class:`Trajectory`) is
+path-major again.
 
 The blow-up and extinction thresholds, the occupation grid and the
 number of occupation windows are module constants, the same for every
@@ -42,7 +45,7 @@ run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -149,6 +152,7 @@ class EnsembleStats:
     mean_state: np.ndarray        # (n,) pooled post-burn-in time average of X
     path_mean_state: np.ndarray   # (P, n) per-path post-burn-in time average of X
     path_errors: dict[int, str]   # path id -> evaluation error, for aborted paths
+    paths: list[Trajectory] = field(default_factory=list)   # stored paths 0 .. keep-1
 
     @property
     def n_paths(self) -> int:
@@ -190,7 +194,7 @@ class _BlockOut:
     sum_x: np.ndarray
     stats_steps: np.ndarray
     hist_counts: np.ndarray       # (windows, n, bins + 2)
-    states: np.ndarray | None     # (P, n_steps + 1, n), filled up to each halt step
+    states: np.ndarray            # (keep, n_steps + 1, n), filled up to each halt step
     errors: dict[int, str]
 
 
@@ -204,7 +208,9 @@ def _step_sum(buf: np.ndarray) -> np.ndarray:
 
 
 def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
-               path_ids: Sequence[int], store_states: bool = False) -> _BlockOut:
+               path_ids: Sequence[int], keep: int = 0) -> _BlockOut:
+    """Step the paths ``path_ids`` from ``y0``; the first ``keep`` of them
+    also store every state."""
     n = model.n
     P = len(path_ids)
     n_steps = cfg.n_steps
@@ -227,7 +233,8 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
 
     gens = _generators(cfg.seed, path_ids)
     Y = np.repeat(y0[:, None], P, axis=1)
-    X = np.empty((n, P))
+    X = np.exp(Y)
+    x_park = X[:, :1].copy()      # where step 1 evaluates drift and noise
     active = np.ones(P, dtype=bool)
     actf = np.ones(P)
     terminal = Y.copy()
@@ -241,22 +248,20 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     stats_steps = np.zeros(P, dtype=np.int64)
     hist_counts = np.zeros((W, n, nb + 2))
     errors: dict[int, str] = {}
-    states = None
-    if store_states:
-        states = np.empty((P, n_steps + 1, n))
-        states[:, 0] = Y.T
+    states = np.empty((keep, n_steps + 1, n))
+    states[:, 0] = y0
     if burn_idx == 0:
         y_burn[:] = Y
     n_live = P    # paths not yet halted; below P the update is masked
 
     def freeze(cols, step):
         """Halt the paths ``cols`` at ``step``: record their state, park them
-        at the harmless Y = 0 and mask them out of further arithmetic."""
+        at y0 and mask them out of further arithmetic."""
         nonlocal n_live
         terminal[:, cols] = Y[:, cols]
         t_end[cols] = step * dt
         halt_step[cols] = step
-        Y[:, cols] = 0.0
+        Y[:, cols] = y0[:, None]
         active[cols] = False
         actf[cols] = 0.0
         n_live -= len(cols)
@@ -291,7 +296,9 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 # Y views the stored state of the previous step; park a copy
                 Y = Y.copy()
                 freeze(cols, step)
-                X[:, cols] = 1.0  # parked state, consistent with Y = 0
+                if n_live == 0:       # all masked; at step 1 x_park itself raises
+                    return np.zeros((n, P))
+                X[:, cols] = x_park
 
     windows_len = max(n_steps - burn_idx, 1)
     eps = np.empty((min(_CHUNK, n_steps), n))
@@ -354,9 +361,9 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                                 "or noise evaluated to inf or nan")
                         freeze(cols, gstep)
                         terminal[:, cols] = (ybuf[k - 1] if k else y_start)[:, cols]
-                    # nan * 0 is nan: a parked path whose drift is nan at the
-                    # parked state turns nan again each step; park it again
-                    Y[:, nan] = 0.0
+                    # inf * 0 is nan: where a drift or noise term is infinite
+                    # at x0, a parked path turns nan again each step; park it again
+                    Y[:, nan] = y0[:, None]
             if gstep == burn_idx:
                 y_burn[:, active] = Y[:, active]
             if n_live == 0:
@@ -366,8 +373,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 break
         # keep the state, not a view of the chunk's buffers
         Y = Y.copy()
-        if store_states:
-            states[:, step + 1:step + K + 1] = ybuf.transpose(2, 0, 1)
+        states[:, step + 1:step + K + 1] = ybuf[:, :, :keep].transpose(2, 0, 1)
 
         gsteps = np.arange(step + 1, step + K + 1)
         valid = gsteps[:, None] < halt_step[None, :]          # (K, P)
@@ -410,10 +416,9 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     # paths that ran to the horizon keep their final state as terminal
     ran_out = halt_step > n_steps
     terminal[:, ran_out] = Y[:, ran_out]
-    if store_states:
-        # a halted path stored the parked value at its halt step; rewrite it
-        for p in np.flatnonzero(~ran_out):
-            states[p, halt_step[p]] = terminal[:, p]
+    # a halted path stored the parked value at its halt step; rewrite it
+    for p in np.flatnonzero(~ran_out[:keep]):
+        states[p, halt_step[p]] = terminal[:, p]
     return _BlockOut(
         y_end=terminal.T.copy(), t_end=t_end, y_burn=y_burn.T.copy(),
         blow_time=blow_time, extinct_time=extinct_time.T.copy(),
@@ -440,59 +445,48 @@ def _check_x0(model: KolmogorovModel, x0) -> np.ndarray:
     return x0
 
 
-def simulate_paths(model: KolmogorovModel, x0, cfg: SimConfig,
-                   path_ids: Sequence[int]) -> list[Trajectory]:
-    """Integrate the given paths, storing each full log-space trajectory.
-
-    Paths run together in as few blocks as the ``_BLOCK_BYTES`` cap on a
-    chunk buffer allows, and each is bitwise identical to the same member
-    of an ensemble run with the same seed, because its noise stream is
-    keyed by (seed, path id) alone.  Each path also keeps every state,
-    (n_steps + 1) x n floats: 4 paths of a 2-species face over 500 000
-    steps take 32 MB.  A path aborted by a domain error or a nan state
-    comes back cut at the abort, with ``error`` set.
-    """
-    x0 = _check_x0(model, x0)
-    y0 = np.log(x0)
-    ids = list(path_ids)
-    times = cfg.dt * np.arange(cfg.n_steps + 1)
-    trajs = []
-    for r in _blocks(len(ids), model.n):
-        block = ids[r.start:r.stop]
-        out = _run_block(model, y0, cfg, block, store_states=True)
-        for p, pid in enumerate(block):
-            halt_steps = int(round(out.t_end[p] / cfg.dt))
-            blow = out.blow_time[p]
-            trajs.append(Trajectory(
-                times=times[: halt_steps + 1],
-                log_states=out.states[p, : halt_steps + 1],
-                path_id=pid,
-                blowup_time=None if np.isnan(blow) else float(blow),
-                extinct_times=out.extinct_time[p].copy(),
-                error=out.errors.get(pid),
-            ))
-    return trajs
+def _trajectory(out: _BlockOut, p: int, pid: int, cfg: SimConfig) -> Trajectory:
+    """Stored path ``p`` of a block, cut at its halt step."""
+    last = int(round(out.t_end[p] / cfg.dt))
+    blow = out.blow_time[p]
+    return Trajectory(
+        times=cfg.dt * np.arange(last + 1),
+        log_states=out.states[p, : last + 1],
+        path_id=pid,
+        blowup_time=None if np.isnan(blow) else float(blow),
+        extinct_times=out.extinct_time[p].copy(),
+        error=out.errors.get(pid),
+    )
 
 
 def simulate_path(model: KolmogorovModel, x0, cfg: SimConfig,
                   path_id: int = 0) -> Trajectory:
-    """:func:`simulate_paths` for one path; an aborted path raises."""
-    traj = simulate_paths(model, x0, cfg, [path_id])[0]
+    """Integrate path ``path_id`` alone, keeping every state; an aborted
+    path raises."""
+    out = _run_block(model, np.log(_check_x0(model, x0)), cfg, [path_id], keep=1)
+    traj = _trajectory(out, 0, path_id, cfg)
     if traj.error is not None:
         raise EngineError(traj.error)
     return traj
 
 
-def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig) -> EnsembleStats:
+def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig,
+                      keep: int = 0) -> EnsembleStats:
     """Integrate ``cfg.n_paths`` independent paths from the same start.
 
     Paths run in the fewest near-equal blocks whose chunk buffer fits the
     ``_BLOCK_BYTES`` cap (128 paths of up to 4 species make one block);
-    every reduction below walks blocks in fixed order.
+    every reduction below walks blocks in fixed order.  Paths 0 .. keep-1
+    also come back in ``paths`` with every state up to their halt, or
+    their abort with ``error`` set: up to (n_steps + 1) x n floats each.
     """
     x0 = _check_x0(model, x0)
     y0 = np.log(x0)
-    outs = [_run_block(model, y0, cfg, r) for r in _blocks(cfg.n_paths, model.n)]
+    blocks = _blocks(cfg.n_paths, model.n)
+    outs = [_run_block(model, y0, cfg, r, min(max(keep - r.start, 0), len(r)))
+            for r in blocks]
+    paths = [_trajectory(o, p, r[p], cfg)
+             for o, r in zip(outs, blocks) for p in range(o.states.shape[0])]
 
     y_end = np.vstack([o.y_end for o in outs])
     t_end = np.concatenate([o.t_end for o in outs])
@@ -543,5 +537,6 @@ def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig) -> EnsembleSta
         blowup_time=blow_time, extinct_time=extinct_time, exponents=exponents,
         histogram=pooled, window_histograms=windows,
         mean_state=mean_state, path_mean_state=path_mean, path_errors=errors,
+        paths=paths,
     )
 

@@ -5,10 +5,12 @@ Concrete syntax: numbers, variables ``x1 .. xn``, binary ``+ - * / ^``
 alias), unary minus, and the unary functions ``exp``, ``ln``, ``sqrt``.
 Whitespace is free.  Parsing reports syntax errors, nesting deeper than
 ``_MAX_DEPTH`` levels included, with the byte offset of the offending
-token; evaluation reports domain violations (division by zero,
-``ln``/``sqrt`` off their domain, non-finite intermediate results) with
-the offending subexpression printed back, so a bad model file never
-turns into a silent NaN downstream.
+token; evaluation reports division by zero, ``ln``/``sqrt`` off their
+domain and a non-finite ``exp`` or ``^`` with the offending
+subexpression printed back.  A finite-input sum, product or quotient
+that overflows (``x1*1e308*10``) is not reported, because a finiteness
+scan at every arithmetic node would cost a full-array pass per node per
+engine step; in simulation only the engine's nan abort catches it.
 
 Evaluation accepts scalars or numpy arrays per variable and broadcasts
 elementwise, which is what the simulation engine feeds it (one array
@@ -316,7 +318,9 @@ def compile_expression(e: Expression) -> Callable[[Sequence[Value]], Value]:
 
     Components may be floats or equally shaped numpy arrays.  Division by
     zero, ``ln``/``sqrt`` outside their domain, and non-finite results of
-    ``exp``/``^`` raise :class:`ExpressionDomainError`.  Each node becomes
+    ``exp``/``^`` raise :class:`ExpressionDomainError`; an overflowing sum,
+    product or quotient returns inf or nan unreported, since a scan there
+    would cost a full-array pass per node per engine step.  Each node becomes
     one closure, so the integrator hot path, which evaluates the tree every
     time step, pays no per-node dispatch.
     """

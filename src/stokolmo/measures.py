@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import EngineError, SimConfig, simulate_paths
+from .engine import EngineError, SimConfig, simulate_ensemble
 # Not called here any more.  perfbench/tracing.py wraps measures.simulate_path
 # by name and fails if the attribute is missing, so the name stays importable.
 from .engine import simulate_path  # noqa: F401
@@ -588,8 +588,8 @@ def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
 
     batch_rates = []
     batch_moments = []
-    # all paths run as one block; errors are raised in path order
-    for traj in simulate_paths(fmodel, np.ones(fmodel.n), cfg, range(cfg.n_paths)):
+    # all paths run as one ensemble pass; errors are raised in path order
+    for traj in simulate_ensemble(fmodel, np.ones(fmodel.n), cfg, keep=cfg.n_paths).paths:
         if traj.error is not None:
             raise EngineError(traj.error)
         if traj.blowup_time is not None:

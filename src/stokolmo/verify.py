@@ -29,7 +29,7 @@ import numpy as np
 
 from .classify import Verdict
 from .engine import (EXTINCT_LOG_THRESHOLD, EngineError, EnsembleStats,
-                     OccupationHistogram, SimConfig, simulate_ensemble, simulate_paths)
+                     OccupationHistogram, SimConfig, simulate_ensemble)
 # Not called here any more.  perfbench/tracing.py wraps verify.simulate_path
 # by name and fails if the attribute is missing, so the name stays importable.
 from .engine import simulate_path  # noqa: F401
@@ -202,16 +202,15 @@ def detect_blowup_signature(model: KolmogorovModel, cfg: SimConfig | None = None
         b = -np.diag(model.drift.B)
         if np.all(b > 0.0):
             w = np.array([b[1], b[0]])
-    stats = simulate_ensemble(model, x0, cfg)
     # the ensemble terminal of a blown path is one post-threshold Euler step,
     # numerically stiff and meaningless as a state; the slope is measured on
-    # stored trajectories instead, at half the halt time (pre-explosion), on
-    # a probe subset that replays the exact same paths by counter-based ids,
-    # as one block; the first aborted path in id order raises
+    # the probe paths the ensemble stores, at half the halt time
+    # (pre-explosion); the first aborted probe in id order raises
     n_probe = min(32, cfg.n_paths)
+    stats = simulate_ensemble(model, x0, cfg, keep=n_probe)
     y0 = np.log(x0)
     slopes = np.empty(n_probe)
-    for pid, traj in enumerate(simulate_paths(model, x0, cfg, range(n_probe))):
+    for pid, traj in enumerate(stats.paths):
         if traj.error is not None:
             raise EngineError(traj.error)
         last = traj.log_states.shape[0] - 1

@@ -164,6 +164,7 @@ def test_foodchain_inconclusive(capsys, tmp_path):
     ("simulate", "models/logistic.json", "--t", "inf"),
     ("simulate", "models/logistic.json", "--dt", "nan"),
     ("verify", "models/logistic.json", "--dt", "nan"),
+    ("simulate", "models/logistic.json", "--paths", "7"),  # simulate runs one path
 ])
 def test_input_errors_are_json_and_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -203,10 +203,10 @@ def assert_same_trajectory(a, b):
      SimConfig(n_paths=6, t_max=12.0, dt=1e-2, burn_in=1.0, seed=3)),
     (COOP, SimConfig(n_paths=6, t_max=50.0, burn_in=1.0, seed=0)),
 ])
-def test_simulate_paths_matches_single_path_runs(monkeypatch, model, cfg):
-    cap_width(monkeypatch, 4, model.n)            # ids 1..6 in two blocks
-    ids = range(1, 7)
-    block = engine.simulate_paths(model, np.ones(2), cfg, ids)
+def test_stored_paths_match_single_path_runs(monkeypatch, model, cfg):
+    cap_width(monkeypatch, 4, model.n)            # paths 0..5 in two blocks
+    ids = range(cfg.n_paths - 1)                  # all of one block, part of the other
+    block = simulate_ensemble(model, np.ones(2), cfg, keep=len(ids)).paths
     assert [t.path_id for t in block] == list(ids)
     for traj in block:
         assert_same_trajectory(traj, simulate_path(model, np.ones(2), cfg, traj.path_id))
@@ -223,7 +223,7 @@ def test_aborted_path_carries_its_error():
                             "g": ["sqrt(4 - x1)", "1"]},
         "sigma": np.eye(2).tolist()}))
     cfg = SimConfig(n_paths=6, t_max=20.0, dt=1e-2, burn_in=1.0, seed=2)
-    trajs = engine.simulate_paths(m, np.ones(2), cfg, range(6))
+    trajs = simulate_ensemble(m, np.ones(2), cfg, keep=6).paths
     aborted = [t for t in trajs if t.error is not None]
     assert aborted and len(aborted) < len(trajs)
     for traj in aborted:
@@ -259,7 +259,7 @@ def test_aborted_paths_keep_every_bit_across_block_widths(monkeypatch):
             assert np.array_equal(wa.masses, wb.masses)
         assert ref.path_errors == other.path_errors
     # the occupation sums see each path's stored states up to its abort
-    trajs = engine.simulate_paths(m, np.ones(2), cfg, range(cfg.n_paths))
+    trajs = simulate_ensemble(m, np.ones(2), cfg, keep=cfg.n_paths).paths
     for traj in trajs:
         kept = traj.log_states[cfg.burn_steps + 1:]
         if traj.error is not None:
@@ -276,7 +276,7 @@ def test_nan_state_aborts_the_path_at_the_first_step():
         "sigma": [[1]]}))
     cfg = SimConfig(n_paths=1, t_max=1.0, burn_in=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        traj, = engine.simulate_paths(m, X0, cfg, [0])
+        traj, = simulate_ensemble(m, X0, cfg, keep=1).paths
     assert traj.error == ("non-finite state at t=0.001: drift or noise "
                           "evaluated to inf or nan")
     assert np.array_equal(traj.times, [0.0, 0.001])
@@ -298,8 +298,8 @@ def test_nan_state_aborts_only_its_path(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         for width in (1, 3, cfg.n_paths):
             cap_width(monkeypatch, width, m.n)
-            runs.append(simulate_ensemble(m, x0, cfg))
-        trajs = engine.simulate_paths(m, x0, cfg, range(cfg.n_paths))
+            runs.append(simulate_ensemble(m, x0, cfg, keep=cfg.n_paths))
+        trajs = runs[0].paths
     ref = runs[0]
     for other in runs[1:]:
         for name in ("y_end", "t_end", "path_mean_state", "mean_state"):
@@ -317,6 +317,68 @@ def test_nan_state_aborts_only_its_path(monkeypatch):
         # the abort step repeats the last finite state, which is terminal
         assert np.array_equal(traj.log_states[-1], traj.log_states[-2])
         assert np.array_equal(traj.log_states[-1], ref.y_end[traj.path_id])
+
+
+# sqrt(x1 - 1.5) is undefined at X = 1, where halted paths were once parked
+UNDEFINED_AT_ONE = parse_model(json.dumps({
+    "n": 1, "general": {"f": ["1 - 0.2*x1"], "g": ["sqrt(x1 - 1.5)"]},
+    "sigma": [[1]]}))
+
+
+def test_each_path_keeps_its_own_error_where_x_1_is_undefined(monkeypatch):
+    x0 = np.array([3.0])
+    cfg = SimConfig(n_paths=4, t_max=20.0, dt=1e-2, burn_in=1.0, seed=0)
+    stats = simulate_ensemble(UNDEFINED_AT_ONE, x0, cfg, keep=4)
+    assert sorted(stats.path_errors) == [0, 1, 2, 3]
+    assert sorted(stats.t_end) == [1.19, 2.13, 3.83, 5.89]
+    cap_width(monkeypatch, 1, 1)                  # each path in its own block
+    alone = simulate_ensemble(UNDEFINED_AT_ONE, x0, cfg, keep=4)
+    for traj, own in zip(stats.paths, alone.paths):
+        assert_same_trajectory(traj, own)
+        assert traj.error == stats.path_errors[traj.path_id]
+        assert "sqrt of negative argument" in traj.error
+        with pytest.raises(EngineError) as exc:
+            simulate_path(UNDEFINED_AT_ONE, x0, cfg, traj.path_id)
+        assert str(exc.value) == traj.error
+
+
+def test_a_model_undefined_at_x0_aborts_every_path_at_step_1():
+    cfg = SimConfig(n_paths=3, t_max=1.0, dt=1e-2, burn_in=0.5)
+    stats = simulate_ensemble(UNDEFINED_AT_ONE, np.ones(1), cfg, keep=3)
+    assert list(stats.t_end) == [cfg.dt] * 3
+    for traj in stats.paths:
+        assert traj.error.startswith("domain error evaluating noise at t=0.01: ")
+        assert np.array_equal(traj.log_states, [[0.0], [0.0]])
+
+
+@pytest.mark.parametrize("model,x0,cfg", [
+    (UNDEFINED_AT_ONE, [3.0], SimConfig(n_paths=4, t_max=20.0, dt=1e-2, burn_in=1.0)),
+    (COOP, [2.0, 0.5], SimConfig(n_paths=6, t_max=50.0, burn_in=1.0)),
+    # species 1 overflows to inf - inf = nan once x1 passes about 0.9
+    (parse_model(json.dumps({
+        "n": 2, "general": {"f": ["1 - x1 + (x1*1e308*2 - x1*1e308*2)", "1 - x2"],
+                            "g": ["0.3", "1"]},
+        "sigma": np.eye(2).tolist()})),
+     [0.5, 1.0], SimConfig(n_paths=8, t_max=20.0, dt=1e-2, burn_in=0.5, seed=1)),
+    # the noise is infinite at x0 and 0 at X = 0: half the paths turn nan
+    # at step 1, the rest sit at ln X = -inf, and a parked path's masked
+    # step is inf * 0 = nan
+    (parse_model(json.dumps({
+        "n": 1, "general": {"f": ["1 - x1"], "g": ["1e200*x1*1e200"]},
+        "sigma": [[1]]})),
+     [2.0], SimConfig(n_paths=6, t_max=2.0, dt=1e-2, burn_in=0.5)),
+], ids=["domain_error", "blowup", "nan_state", "infinite_noise"])
+def test_halted_paths_stay_parked_at_the_start_state(model, x0, cfg):
+    y0 = np.log(x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = engine._run_block(model, y0, cfg, list(range(cfg.n_paths)), cfg.n_paths)
+    halts = np.rint(out.t_end / cfg.dt).astype(int)
+    last = halts.max()                            # the block stepped up to here
+    assert halts.min() < last
+    for p, h in enumerate(halts):                 # states after a halt hold the parked path
+        assert np.array_equal(out.states[p, h + 1:last + 1],
+                              np.broadcast_to(y0, (last - h, model.n))), p
+    assert np.all(np.isfinite(out.sum_x))
 
 
 def test_blocks_are_the_fewest_near_equal_runs_under_the_cap():
@@ -584,7 +646,7 @@ REFERENCE_CASES = {
 }
 
 
-def assert_same_block(out, ref, dt):
+def assert_same_block(out, ref, dt, keep):
     for name in ("y_end", "t_end", "y_burn", "blow_time", "extinct_time",
                  "sum_x", "stats_steps", "hist_counts"):
         a, b = getattr(out, name), getattr(ref, name)
@@ -592,17 +654,22 @@ def assert_same_block(out, ref, dt):
         assert a.tobytes() == b.tobytes(), name
     assert out.errors == ref.errors
     if ref.states is None:
-        assert out.states is None
+        assert out.states.shape[0] == keep == 0
         return
-    assert out.states.shape == ref.states.shape
-    for p in range(ref.states.shape[0]):       # rows are filled up to the halt
+    assert out.states.shape == (keep,) + ref.states.shape[1:]
+    for p in range(keep):                      # rows are filled up to the halt
         filled = int(round(ref.t_end[p] / dt)) + 1
         assert out.states[p, :filled].tobytes() == ref.states[p, :filled].tobytes(), p
 
 
-@pytest.mark.parametrize("store_states", [False, True], ids=["stats", "states"])
+# how many leading paths of each block keep their states
+KEEP = {"stats": lambda width: 0, "states": lambda width: width,
+        "partial": lambda width: min(2, width)}
+
+
+@pytest.mark.parametrize("keep", list(KEEP))
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
-def test_block_keeps_every_bit_of_the_path_major_reference(case, store_states):
+def test_block_keeps_every_bit_of_the_path_major_reference(case, keep):
     model, n_paths, t_max, widths = REFERENCE_CASES[case]
     cfg = SimConfig(n_paths=n_paths, t_max=t_max, dt=1e-2, burn_in=1.0, seed=3)
     y0 = np.zeros(model.n)
@@ -610,9 +677,10 @@ def test_block_keeps_every_bit_of_the_path_major_reference(case, store_states):
         t_end, errors = [], {}
         for start in range(0, n_paths, width):
             ids = list(range(start, min(start + width, n_paths)))
-            out = engine._run_block(model, y0, cfg, ids, store_states)
-            ref = _path_major_block(model, y0, cfg, ids, store_states)
-            assert_same_block(out, ref, cfg.dt)
+            k = KEEP[keep](len(ids))
+            out = engine._run_block(model, y0, cfg, ids, k)
+            ref = _path_major_block(model, y0, cfg, ids, store_states=k > 0)
+            assert_same_block(out, ref, cfg.dt, k)
             t_end.extend(ref.t_end)
             errors.update(ref.errors)
         if case == "coop_blowup":      # every block left its first chunk early

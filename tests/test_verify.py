@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from stokolmo import engine
 from stokolmo.engine import (EnsembleStats, OccupationHistogram, SimConfig,
-                             simulate_ensemble)
+                             simulate_ensemble, simulate_path)
 from stokolmo.verify import (_binomial_ci, classify_paths,
                              detect_blowup_signature,
                              estimate_basin_probabilities, tv_distance,
@@ -178,6 +179,33 @@ def test_blowup_signature_direction(bundled):
     ctrl = detect_blowup_signature(bundled["lv_coexist"], cfg)
     assert ctrl["blowup_fraction"] == 0.0
     assert ctrl["slope_mean"] + 3.0 * ctrl["slope_se"] < 0.5
+
+
+def test_blowup_probes_ride_in_the_one_ensemble_pass(bundled, monkeypatch):
+    model = bundled["coop_blowup"]
+    cfg = SimConfig(n_paths=128, t_max=30.0, burn_in=3.0, seed=0)
+    run_block = engine._run_block
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_block(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_run_block", counted)
+    sig = detect_blowup_signature(model, cfg)
+    assert len(calls) == len(engine._blocks(cfg.n_paths, model.n)) == 1
+    monkeypatch.undo()
+    # the same slopes from each probe integrated alone
+    w = np.array(sig["weights"])
+    slopes = np.empty(32)
+    for pid in range(32):
+        traj = simulate_path(model, np.ones(2), cfg, pid)
+        assert traj.blowup_time is not None
+        idx = max(1, (traj.log_states.shape[0] - 1) // 2)
+        slopes[pid] = float(w @ traj.log_states[idx]) / traj.times[idx]
+    assert sig["slope_mean"] == float(slopes.mean())
+    assert sig["slope_se"] == float(slopes.std(ddof=1) / np.sqrt(32))
+    assert [t.path_id for t in sig["stats"].paths] == list(range(32))
 
 
 def test_blowup_signature_needs_two_species(bundled):
