@@ -32,7 +32,8 @@ numerically when a species keeps decaying.  A path whose state turns
 nan (an expression that evaluated to inf - inf, say) is aborted like a
 domain error: its last finite state is terminal and it carries the
 error.  Halted and aborted paths are parked at the start state, where
-step 1 evaluated drift and noise for every path, so they never raise.
+step 1 evaluated drift and noise for every path, so they never raise; a
+path aborted in its drift is parked before that step's noise is evaluated.
 Once every path of a block has halted the block stops stepping at once.
 What leaves a block (:class:`EnsembleStats`, :class:`Trajectory`) is
 path-major again.
@@ -272,6 +273,8 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         nonlocal Y
         fn = model.drift_at if kind == "drift" else model.noise_amp_at
         while True:
+            if n_live == 0:           # every path halted: nothing to evaluate
+                return np.zeros((n, P))
             try:
                 return fn(X.T).T
             except ExpressionDomainError as exc:
@@ -296,8 +299,6 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 # Y views the stored state of the previous step; park a copy
                 Y = Y.copy()
                 freeze(cols, step)
-                if n_live == 0:       # all masked; at step 1 x_park itself raises
-                    return np.zeros((n, P))
                 X[:, cols] = x_park
 
     windows_len = max(n_steps - burn_idx, 1)

@@ -342,6 +342,34 @@ def test_each_path_keeps_its_own_error_where_x_1_is_undefined(monkeypatch):
         assert str(exc.value) == traj.error
 
 
+# drift and noise share the restriction x1 <= 4
+SHARED_RESTRICTION = parse_model(json.dumps({
+    "n": 1, "general": {"f": ["sqrt(4 - x1) - 0.2*x1"], "g": ["0.5*sqrt(4 - x1)"]},
+    "sigma": [[1]]}))
+
+
+def test_a_drift_abort_skips_the_noise_of_its_step(monkeypatch):
+    # a path that crosses x1 = 4 fails in the drift; the noise of that step
+    # is not evaluated at its state, even when it was the last live path
+    cfg = SimConfig(n_paths=4, t_max=20.0, dt=1e-2, burn_in=1.0, seed=0)
+    runs = []
+    for width in (1, 4):
+        cap_width(monkeypatch, width, 1)
+        runs.append(simulate_ensemble(SHARED_RESTRICTION, np.ones(1), cfg, keep=4))
+    alone, block = runs
+    assert sorted(block.path_errors) == [0, 1, 2, 3]
+    assert len(set(block.t_end)) == 4
+    assert block.path_errors == alone.path_errors
+    for traj, own in zip(block.paths, alone.paths):
+        assert_same_trajectory(traj, own)
+        assert traj.error == block.path_errors[traj.path_id]
+        assert traj.error.startswith("domain error evaluating drift at t=")
+        assert "sqrt of negative argument in 'sqrt(4 - x1)'" in traj.error
+        with pytest.raises(EngineError) as exc:
+            simulate_path(SHARED_RESTRICTION, np.ones(1), cfg, traj.path_id)
+        assert str(exc.value) == traj.error
+
+
 def test_a_model_undefined_at_x0_aborts_every_path_at_step_1():
     cfg = SimConfig(n_paths=3, t_max=1.0, dt=1e-2, burn_in=0.5)
     stats = simulate_ensemble(UNDEFINED_AT_ONE, np.ones(1), cfg, keep=3)
@@ -349,6 +377,19 @@ def test_a_model_undefined_at_x0_aborts_every_path_at_step_1():
     for traj in stats.paths:
         assert traj.error.startswith("domain error evaluating noise at t=0.01: ")
         assert np.array_equal(traj.log_states, [[0.0], [0.0]])
+    # drift and noise both undefined at x0, both defined at X = 1
+    both = parse_model(json.dumps({
+        "n": 1, "general": {"f": ["sqrt(x1 - 1.5) - x1"], "g": ["sqrt(x1 - 1.5)"]},
+        "sigma": [[1]]}))
+    stats = simulate_ensemble(both, np.array([1.2]), cfg, keep=3)
+    assert list(stats.t_end) == [cfg.dt] * 3
+    y0 = np.log(1.2)
+    for traj in stats.paths:
+        assert traj.error.startswith("domain error evaluating drift at t=0.01: ")
+        assert np.array_equal(traj.log_states, [[y0], [y0]])
+        with pytest.raises(EngineError) as exc:
+            simulate_path(both, np.array([1.2]), cfg, traj.path_id)
+        assert str(exc.value) == traj.error
 
 
 @pytest.mark.parametrize("model,x0,cfg", [
@@ -367,7 +408,8 @@ def test_a_model_undefined_at_x0_aborts_every_path_at_step_1():
         "n": 1, "general": {"f": ["1 - x1"], "g": ["1e200*x1*1e200"]},
         "sigma": [[1]]})),
      [2.0], SimConfig(n_paths=6, t_max=2.0, dt=1e-2, burn_in=0.5)),
-], ids=["domain_error", "blowup", "nan_state", "infinite_noise"])
+    (SHARED_RESTRICTION, [1.0], SimConfig(n_paths=4, t_max=20.0, dt=1e-2, burn_in=1.0)),
+], ids=["domain_error", "blowup", "nan_state", "infinite_noise", "shared_restriction"])
 def test_halted_paths_stay_parked_at_the_start_state(model, x0, cfg):
     y0 = np.log(x0)
     with np.errstate(over="ignore", invalid="ignore"):
