@@ -14,7 +14,11 @@ verdict or report byte.  The set is:
 - the verdicts of the benchmark's three face_mc models, under its face
   simulation budget, at face seeds 0-5;
 - the reports ``scripts/run_examples.py`` writes at its quick budgets,
-  and its printed summary with the timings taken out.
+  and its printed summary with the timings taken out;
+- the exit code and stderr of ``stokolmo`` on fixed bad inputs
+  (``diagnostics/<name>``), with the wall-clock values of a ``timing``
+  line taken out.  An exception that escapes the CLI is recorded by its
+  class name and message, as a raised ``classify`` error is.
 
 The CLI commands and library calls run in this process against this
 checkout's ``src/``; ``run_examples.py`` runs as a child process and
@@ -47,6 +51,35 @@ import workloads  # noqa: E402
 SIMULATED = ("logistic", "holling2d", "coop_blowup")
 FACE_SEEDS = range(6)
 
+LOGISTIC = str(ROOT / "models" / "logistic.json")
+# bad command lines: the cases of tests/test_cli.py::test_input_errors_are_json_and_exit_2
+BAD_ARGV = {
+    "missing_model": ["classify", "/no/such/model.json"],
+    "missing_positional": ["classify"],
+    "unknown_flag": ["classify", LOGISTIC, "--bogus"],
+    "unknown_command": ["frobnicate", LOGISTIC],
+    "x0_arity": ["simulate", LOGISTIC, "--x0", "1,2"],
+    "x0_negative": ["simulate", LOGISTIC, "--x0", "-1"],
+    "x0_text": ["simulate", LOGISTIC, "--x0", "a,b"],
+    "t_negative": ["simulate", LOGISTIC, "--t", "-5"],
+    "t_inf": ["simulate", LOGISTIC, "--t", "inf"],
+    "dt_nan": ["simulate", LOGISTIC, "--dt", "nan"],
+    "verify_dt_nan": ["verify", LOGISTIC, "--dt", "nan"],
+    "simulate_paths": ["simulate", LOGISTIC, "--paths", "7"],
+    "verify_csv_without_out": ["verify", LOGISTIC, "--t", "2", "--paths", "4",
+                               "--format", "csv"],
+    "verify_out_missing_dir": ["verify", LOGISTIC, "--t", "2", "--paths", "4",
+                               "--out", "/no/such/dir/run.json"],
+}
+# bad one-species expression models: (f, g, command and flags)
+BAD_MODELS = {
+    "deep_parentheses": ("(" * 3000 + "1" + ")" * 3000, "1", ["classify"]),
+    "exp_exp_check": ("16", "exp(exp(x1))", ["check"]),
+    "exp_exp_classify": ("16", "exp(exp(x1))", ["classify"]),
+    "nan_state": ("x1*1e308*10 - x1*1e308*10 + 1 - x1", "1", ["simulate", "--t", "1"]),
+    "minus_inf_state": ("1 - 1e200*x1*1e200", "1", ["simulate", "--x0", "2", "--t", "1"]),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -63,6 +96,18 @@ def cli_output(argv: list[str], out: pathlib.Path) -> dict:
     else:
         data = err.getvalue().encode()
     return {"rc": rc, "sha256": sha256(data)}
+
+
+def diagnostic(argv: list[str]) -> dict:
+    """Run ``stokolmo <argv>``; digest stderr, or the exception that escapes."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = stokolmo.cli.main(argv)
+    except Exception as exc:   # a traceback is an output too
+        return {"rc": type(exc).__name__, "sha256": sha256(str(exc).encode())}
+    text = re.sub(r'"timing": \{[^}]*\}', '"timing": {}', err.getvalue())
+    return {"rc": rc, "sha256": sha256(text.encode())}
 
 
 def verdict_output(path: pathlib.Path, face_seed: int) -> dict:
@@ -107,6 +152,13 @@ def main() -> int:
             path.write_text(json.dumps(workloads.general_doc(a, B)))
             for seed in FACE_SEEDS:
                 digests[f"face_mc/{name}/seed{seed}"] = verdict_output(path, seed)
+        for name, argv in BAD_ARGV.items():
+            digests[f"diagnostics/{name}"] = diagnostic(argv)
+        for name, (f, g, argv) in BAD_MODELS.items():
+            path = work / "bad.json"
+            path.write_text(json.dumps({"n": 1, "general": {"f": [f], "g": [g]},
+                                        "sigma": [[1.0]]}))
+            digests[f"diagnostics/{name}"] = diagnostic(argv[:1] + [str(path)] + argv[1:])
     digests.update(example_outputs())
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0

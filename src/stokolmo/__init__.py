@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from .errors import StokolmoError
 from .model import KolmogorovModel, cholesky_factor, load_model, parse_model, restrict_to_face
 from .engine import (
     EnsembleStats,
@@ -51,6 +52,7 @@ from .verify import (
 from .report import RunReport, canonical_json, write_report
 
 __all__ = [
+    "StokolmoError",
     "KolmogorovModel",
     "cholesky_factor",
     "load_model",

@@ -4,9 +4,11 @@ Five subcommands: `check` prints the assumption report, `classify` the
 verdict with its measure table, `simulate` a trajectory, `verify` the
 full classify-then-validate run report, and `foodchain` the chain fast
 path.  Exit codes: 0 success, 1 when the outcome is Inconclusive or the
-Monte Carlo validation FAILED, 2 on input errors and on library failures
-(simplex or engine).  Every error leaves a single JSON diagnostic on
-stderr so wrappers never have to parse prose.
+Monte Carlo validation FAILED, 2 on a `CLIError` (bad flags, unreadable
+or unwritable files: `"error": "input"`) or a `StokolmoError`, the
+library's one error base (`"error"` names its class).  Either leaves a
+single JSON diagnostic on stderr so wrappers never have to parse prose;
+any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from . import __version__
 from .assumptions import run_assumption_checks
 from .classify import classify
 from .engine import EXTINCT_LOG_THRESHOLD, EngineError, SimConfig, simulate_path
+from .errors import StokolmoError
 from .foodchain import FoodChainError, classify_food_chain, load_food_chain
 from .measures import AnalysisBudget
 from .model import KolmogorovModel, ModelError, load_model
 from .report import RunReport, canonical_json, write_report
-from .simplex import SimplexError
 from .verify import verify_verdict
 
 
@@ -109,7 +111,7 @@ def _sim_config(args, n_paths: int) -> SimConfig:
         burn = min(50.0, 0.1 * args.t)
         return SimConfig(dt=args.dt, t_max=args.t, burn_in=burn,
                          n_paths=n_paths, seed=args.seed)
-    except ValueError as exc:
+    except EngineError as exc:
         raise CLIError(str(exc))
 
 
@@ -172,10 +174,7 @@ def _cmd_simulate(args) -> int:
     model = _load(args.model)
     x0 = _parse_x0(args.x0, model)
     cfg = _sim_config(args, n_paths=1)
-    try:
-        traj = simulate_path(model, x0, cfg, path_id=0)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    traj = simulate_path(model, x0, cfg, path_id=0)
     if args.format == "csv":
         _emit(_trajectory_csv(traj, model), args.out)
     else:
@@ -215,6 +214,8 @@ def _cmd_verify(args) -> int:
     model = _load(args.model)
     x0 = _parse_x0(args.x0, model)
     cfg = _sim_config(args, args.paths)
+    if args.format == "csv" and not args.out:
+        raise CLIError("--format csv needs --out to anchor the CSV file names")
     budget = AnalysisBudget(face_sim=replace(AnalysisBudget().face_sim, seed=args.seed))
     t0 = time.perf_counter()
     verdict = classify(model, budget)
@@ -237,15 +238,16 @@ def _cmd_verify(args) -> int:
         timing={"classify_s": t1 - t0, "verify_s": t2 - t1},
     )
     if args.out:
-        write_report(report, args.out)
+        try:
+            write_report(report, args.out)
+        except OSError as exc:
+            raise CLIError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(report.to_text())
     # wall-clock stays out of the report bytes so reruns stay byte-identical
     sys.stderr.write(json.dumps({"timing": report.timing}) + "\n")
 
     if args.format == "csv" and stats is not None:
-        if not args.out:
-            raise CLIError("--format csv needs --out to anchor the CSV file names")
         base = args.out[:-5] if args.out.endswith(".json") else args.out
         _emit(_histogram_csv(stats), base + ".histogram.csv")
         _emit(_exponents_csv(stats), base + ".exponents.csv")
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         sys.stderr.write(json.dumps({"error": "input", "message": str(exc)}) + "\n")
         return 2
-    except (ModelError, FoodChainError, ValueError, SimplexError, EngineError) as exc:
+    except StokolmoError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 2

@@ -29,11 +29,12 @@ blow-up threshold halts (its terminal state and time are recorded and it
 is frozen out of further arithmetic); crossing the extinction threshold
 is only flagged, since in log coordinates nothing bad happens
 numerically when a species keeps decaying.  A path whose state turns
-nan (an expression that evaluated to inf - inf, say) is aborted like a
-domain error: its last finite state is terminal and it carries the
-error.  Halted and aborted paths are parked at the start state, where
-step 1 evaluated drift and noise for every path, so they never raise; a
-path aborted in its drift is parked before that step's noise is evaluated.
+nan (an expression that evaluated to inf - inf, say) or -inf (a drift
+that overflowed to -inf) is aborted like a domain error: its last finite
+state is terminal and it carries the error.  Halted and aborted paths are
+parked at the start state, where step 1 evaluated drift and noise for
+every path, so they never raise; a path aborted in its drift is parked
+before that step's noise is evaluated.
 Once every path of a block has halted the block stops stepping at once.
 What leaves a block (:class:`EnsembleStats`, :class:`Trajectory`) is
 path-major again.
@@ -51,6 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import StokolmoError
 from .expressions import ExpressionDomainError
 from .model import ConstantNoise, KolmogorovModel
 
@@ -69,7 +71,7 @@ _GRID_BINS = 540
 _GRID_WIDTH = (_GRID_HI - _GRID_LO) / _GRID_BINS
 
 
-class EngineError(RuntimeError):
+class EngineError(StokolmoError):
     pass
 
 
@@ -84,17 +86,17 @@ class SimConfig:
     def __post_init__(self):
         for name in ("dt", "t_max"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise EngineError(f"{name} must be finite")
         if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+            raise EngineError("dt must be positive")
         if not math.isfinite(self.t_max / self.dt):
-            raise ValueError("t_max / dt must be a finite step count")
+            raise EngineError("t_max / dt must be a finite step count")
         if not 0.0 <= self.burn_in < self.t_max:
-            raise ValueError("need 0 <= burn_in < t_max")
+            raise EngineError("need 0 <= burn_in < t_max")
         if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
+            raise EngineError("n_paths must be at least 1")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise EngineError("seed must be nonnegative")
 
     @property
     def n_steps(self) -> int:
@@ -206,6 +208,10 @@ def _step_sum(buf: np.ndarray) -> np.ndarray:
     if buf[0].size == 1:
         return np.add.accumulate(buf, axis=0)[-1]
     return buf.sum(axis=0)
+
+
+def _nonfinite_error(t: float) -> str:
+    return f"non-finite state at t={t:.6g}: drift or noise evaluated to inf or nan"
 
 
 def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
@@ -357,9 +363,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                     if cols.size:
                         # aborted like a domain error, the last finite state terminal
                         for p in cols:
-                            errors[path_ids[p]] = (
-                                f"non-finite state at t={gstep * dt:.6g}: drift "
-                                "or noise evaluated to inf or nan")
+                            errors[path_ids[p]] = _nonfinite_error(gstep * dt)
                         freeze(cols, gstep)
                         terminal[:, cols] = (ybuf[k - 1] if k else y_start)[:, cols]
                     # inf * 0 is nan: where a drift or noise term is infinite
@@ -374,6 +378,27 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 break
         # keep the state, not a view of the chunk's buffers
         Y = Y.copy()
+        # a state that reaches -inf stays there (-inf plus anything finite) or
+        # is aborted later in the chunk, on a nan or a domain error, with the
+        # -inf state as terminal; so one look per chunk finds every such path,
+        # which is aborted at its first -inf step instead
+        for p in np.flatnonzero(np.isneginf(Y).any(axis=0)
+                                | np.isneginf(terminal).any(axis=0)):
+            k = int(np.isneginf(ybuf[:, :, p]).any(axis=1).argmax())
+            gstep = step + k + 1
+            errors[path_ids[p]] = _nonfinite_error(gstep * dt)
+            terminal[:, p] = (ybuf[k - 1] if k else y_start)[:, p]
+            ybuf[k:, :, p] = y0
+            t_end[p] = gstep * dt
+            halt_step[p] = gstep
+            blow_time[p] = np.nan
+            if gstep <= burn_idx:
+                y_burn[:, p] = np.nan
+            if active[p]:
+                Y[:, p] = y0
+                active[p] = False
+                actf[p] = 0.0
+                n_live -= 1
         states[:, step + 1:step + K + 1] = ybuf[:, :, :keep].transpose(2, 0, 1)
 
         gsteps = np.arange(step + 1, step + K + 1)

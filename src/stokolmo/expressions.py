@@ -10,7 +10,7 @@ domain and a non-finite ``exp`` or ``^`` with the offending
 subexpression printed back.  A finite-input sum, product or quotient
 that overflows (``x1*1e308*10``) is not reported, because a finiteness
 scan at every arithmetic node would cost a full-array pass per node per
-engine step; in simulation only the engine's nan abort catches it.
+engine step; in simulation only the engine's nan and -inf aborts catch it.
 
 Evaluation accepts scalars or numpy arrays per variable and broadcasts
 elementwise, which is what the simulation engine feeds it (one array
@@ -24,10 +24,12 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .errors import StokolmoError
+
 Value = Union[float, np.ndarray]
 
 
-class ExpressionError(ValueError):
+class ExpressionError(StokolmoError):
     pass
 
 

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StokolmoError
 from .model import KolmogorovModel, ModelError, parse_model
 
 
-class FoodChainError(ValueError):
+class FoodChainError(StokolmoError):
     pass
 
 
@@ -239,15 +240,10 @@ def parse_food_chain(text: str) -> FoodChainParams:
     a10 = doc["a10"]
     if not isinstance(a10, (int, float)) or isinstance(a10, bool):
         raise FoodChainError("a10: expected a number")
-    try:
-        return FoodChainParams(
-            n=n, a10=float(a10), death=arr("death", n - 1),
-            prey_gain=arr("prey_gain", n - 1), loss=arr("loss", n - 1),
-            intra=arr("intra", n), sigma_diag=arr("sigma_diag", n))
-    except FoodChainError:
-        raise
-    except ValueError as exc:
-        raise FoodChainError(str(exc)) from None
+    return FoodChainParams(
+        n=n, a10=float(a10), death=arr("death", n - 1),
+        prey_gain=arr("prey_gain", n - 1), loss=arr("loss", n - 1),
+        intra=arr("intra", n), sigma_diag=arr("sigma_diag", n))
 
 
 def load_food_chain(path: str) -> FoodChainParams:

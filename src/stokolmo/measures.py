@@ -49,6 +49,7 @@ from .engine import EngineError, SimConfig, simulate_ensemble
 # Not called here any more.  perfbench/tracing.py wraps measures.simulate_path
 # by name and fails if the attribute is missing, so the name stays importable.
 from .engine import simulate_path  # noqa: F401
+from .errors import StokolmoError
 from .model import ConstantNoise, KolmogorovModel, LVDrift, restrict_to_face
 from .simplex import maximin_bounds, solve_maximin
 
@@ -71,7 +72,7 @@ def t_quantile_975(df: int) -> float:
     return _T975.get(df, 1.96 + 2.52 / df)
 
 
-class MeasureError(ValueError):
+class MeasureError(StokolmoError):
     pass
 
 

@@ -32,6 +32,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .errors import StokolmoError
 from .expressions import (
     Expression,
     ExpressionDomainError,
@@ -45,7 +46,7 @@ from .expressions import (
 )
 
 
-class ModelError(ValueError):
+class ModelError(StokolmoError):
     pass
 
 

