@@ -79,6 +79,12 @@ BAD_MODELS = {
     "nan_state": ("x1*1e308*10 - x1*1e308*10 + 1 - x1", "1", ["simulate", "--t", "1"]),
     "minus_inf_state": ("1 - 1e200*x1*1e200", "1", ["simulate", "--x0", "2", "--t", "1"]),
 }
+# documents the standard library cannot read: (file bytes, command)
+BAD_FILES = {
+    "model_not_utf8": (b'{"n": 1, "sigma": [[1.0]], "x": "\xe9"}', "classify"),
+    "model_long_int": (b'{"n": 1' + b"0" * 5000 + b"}", "classify"),
+    "chain_not_utf8": (b'{"n": 2, "x": "\xe9"}', "foodchain"),
+}
 
 
 def sha256(data: bytes) -> str:
@@ -159,6 +165,10 @@ def main() -> int:
             path.write_text(json.dumps({"n": 1, "general": {"f": [f], "g": [g]},
                                         "sigma": [[1.0]]}))
             digests[f"diagnostics/{name}"] = diagnostic(argv[:1] + [str(path)] + argv[1:])
+        for name, (data, command) in BAD_FILES.items():
+            path = work / "bad.json"
+            path.write_bytes(data)
+            digests[f"diagnostics/{name}"] = diagnostic([command, str(path)])
     digests.update(example_outputs())
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0

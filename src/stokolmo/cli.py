@@ -131,7 +131,7 @@ def _emit(text: str, out: str | None):
 def _load(path: str) -> KolmogorovModel:
     try:
         return load_model(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CLIError(f"cannot read model: {exc}")
     except ModelError as exc:
         raise CLIError(f"invalid model: {exc}")
@@ -262,7 +262,7 @@ def _cmd_verify(args) -> int:
 def _cmd_foodchain(args) -> int:
     try:
         params = load_food_chain(args.chain)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CLIError(f"cannot read chain: {exc}")
     except FoodChainError as exc:
         raise CLIError(f"invalid chain: {exc}")

@@ -263,15 +263,16 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
 
     def freeze(cols, step):
         """Halt the paths ``cols`` at ``step``: record their state, park them
-        at y0 and mask them out of further arithmetic."""
+        at y0 and mask them out of further arithmetic.  A path that has
+        already halted halts again, at the new step."""
         nonlocal n_live
+        n_live -= int(active[cols].sum())
         terminal[:, cols] = Y[:, cols]
         t_end[cols] = step * dt
         halt_step[cols] = step
         Y[:, cols] = y0[:, None]
         active[cols] = False
         actf[cols] = 0.0
-        n_live -= len(cols)
 
     def eval_with_isolation(kind: str, step: int):
         """Evaluate drift or noise amplitude at X; on a domain error, find the
@@ -387,18 +388,12 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             k = int(np.isneginf(ybuf[:, :, p]).any(axis=1).argmax())
             gstep = step + k + 1
             errors[path_ids[p]] = _nonfinite_error(gstep * dt)
+            freeze([p], gstep)
             terminal[:, p] = (ybuf[k - 1] if k else y_start)[:, p]
             ybuf[k:, :, p] = y0
-            t_end[p] = gstep * dt
-            halt_step[p] = gstep
             blow_time[p] = np.nan
             if gstep <= burn_idx:
                 y_burn[:, p] = np.nan
-            if active[p]:
-                Y[:, p] = y0
-                active[p] = False
-                actf[p] = 0.0
-                n_live -= 1
         states[:, step + 1:step + K + 1] = ybuf[:, :, :keep].transpose(2, 0, 1)
 
         gsteps = np.arange(step + 1, step + K + 1)

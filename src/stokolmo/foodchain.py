@@ -215,7 +215,7 @@ def classify_food_chain(params: FoodChainParams) -> FoodChainVerdict:
 def parse_food_chain(text: str) -> FoodChainParams:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # bad syntax, or an integer of over 4300 digits
         raise FoodChainError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FoodChainError("expected a JSON object")

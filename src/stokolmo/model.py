@@ -255,7 +255,7 @@ def parse_model(text: str) -> KolmogorovModel:
     """Parse and validate a model JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # bad syntax, or an integer of over 4300 digits
         raise ModelError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     known = {"n", "lv", "general", "sigma"}

@@ -183,6 +183,27 @@ def test_input_errors_are_json_and_exit_2(capsys, argv):
     assert diag["message"]
 
 
+# a file that is not UTF-8, and an integer too long for json.loads, are
+# ValueErrors of the standard library, not of stokolmo
+@pytest.mark.parametrize("command,data", [
+    ("classify", b'{"n": 1, "sigma": [[1.0]], "x": "\xe9"}'),
+    ("classify", b'{"n": 1' + b"0" * 5000 + b"}"),
+    ("foodchain", b'{"n": 2, "x": "\xe9"}'),
+    ("foodchain", b'{"n": 2' + b"0" * 5000 + b"}"),
+], ids=["model-latin1", "model-long-int", "chain-latin1", "chain-long-int"])
+def test_unreadable_documents_are_json_and_exit_2(capsys, tmp_path, command, data):
+    p = tmp_path / "doc.json"
+    p.write_bytes(data)
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "input"
+    assert ("codec can't decode" in diag["message"]
+            or "not valid JSON: Exceeds the limit" in diag["message"])
+
+
 @pytest.mark.parametrize("f", [
     "(" * 3000 + "1" + ")" * 3000,
     "2 - " + "-" * 4999 + "x1",
