@@ -15,6 +15,10 @@ verdict or report byte.  The set is:
   simulation budget, at face seeds 0-5;
 - the reports ``scripts/run_examples.py`` writes at its quick budgets,
   and its printed summary with the timings taken out;
+- the ``stokolmo check`` and ``classify`` reports of every bundled model
+  and the ``stokolmo foodchain`` reports of the bundled chains, and the
+  ``classify`` reports of the benchmark's lattice_screen communities at
+  seed 3 (``perfbench/workloads.py``);
 - the exit code and stderr of ``stokolmo`` on fixed bad inputs
   (``diagnostics/<name>``), with the wall-clock values of a ``timing``
   line taken out.  An exception that escapes the CLI is recorded by its
@@ -70,6 +74,8 @@ BAD_ARGV = {
                                "--format", "csv"],
     "verify_out_missing_dir": ["verify", LOGISTIC, "--t", "2", "--paths", "4",
                                "--out", "/no/such/dir/run.json"],
+    "t_steps_beyond_int64": ["simulate", LOGISTIC, "--t", "1e16"],
+    "t_states_beyond_memory": ["simulate", LOGISTIC, "--t", "1e13"],
 }
 # bad one-species expression models: (f, g, command and flags)
 BAD_MODELS = {
@@ -79,11 +85,20 @@ BAD_MODELS = {
     "nan_state": ("x1*1e308*10 - x1*1e308*10 + 1 - x1", "1", ["simulate", "--t", "1"]),
     "minus_inf_state": ("1 - 1e200*x1*1e200", "1", ["simulate", "--x0", "2", "--t", "1"]),
 }
-# documents the standard library cannot read: (file bytes, command)
+# a two-level chain with a10 left open
+CHAIN = (b'{"n": 2, "a10": %s, "death": [1.0], "prey_gain": [2.0], "loss": [1.0], '
+         b'"intra": [1.0, 1.0], "sigma_diag": [1.0, 1.0]}')
+# documents the library cannot read or must refuse: (file bytes, command)
 BAD_FILES = {
     "model_not_utf8": (b'{"n": 1, "sigma": [[1.0]], "x": "\xe9"}', "classify"),
     "model_long_int": (b'{"n": 1' + b"0" * 5000 + b"}", "classify"),
     "chain_not_utf8": (b'{"n": 2, "x": "\xe9"}', "foodchain"),
+    "model_int_beyond_float": (b'{"n": 1, "lv": {"a": [1' + b"0" * 400
+                               + b'], "B": [[-1]], "g": [1]}, "sigma": [[1]]}', "check"),
+    "chain_int_beyond_float": (CHAIN % (b"1" + b"0" * 400), "foodchain"),
+    "chain_a10_overflow": (CHAIN % b"1e999", "foodchain"),
+    "model_nested_too_deep": (b'{"n": 1, "lv": {"a": ' + b"[" * 100000 + b"]" * 100000
+                              + b"}}", "check"),
 }
 
 
@@ -158,6 +173,17 @@ def main() -> int:
             path.write_text(json.dumps(workloads.general_doc(a, B)))
             for seed in FACE_SEEDS:
                 digests[f"face_mc/{name}/seed{seed}"] = verdict_output(path, seed)
+        for path in sorted((ROOT / "models").glob("*.json")):
+            commands = ["foodchain"] if "a10" in json.loads(path.read_text()) \
+                else ["check", "classify"]
+            for command in commands:
+                digests[f"{command}/{path.stem}"] = cli_output([command, str(path)],
+                                                               work / "out")
+        for name, doc in workloads.lattice_inputs(3):
+            path = work / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            digests[f"classify/lattice3/{name}"] = cli_output(["classify", str(path)],
+                                                              work / "out")
         for name, argv in BAD_ARGV.items():
             digests[f"diagnostics/{name}"] = diagnostic(argv)
         for name, (f, g, argv) in BAD_MODELS.items():

@@ -82,11 +82,14 @@ def check_nondegeneracy(model: KolmogorovModel) -> AssumptionCheck:
     g_i(x) g_j(x) sigma_ij on every compact.  We probe a grid (including
     boundary faces, where state-dependent amplitudes most often die) and
     random points, and report the worst eigenvalue with its witness.
+    Constant amplitudes give the same matrix at every point, so only the
+    first point is decomposed; the report still counts every point.
     """
     pts = _sample_points(model.n)
+    constant = isinstance(model.noise, ConstantNoise)
     worst = np.inf
     worst_x = None
-    for x in pts:
+    for x in pts[:1] if constant else pts:
         g = model.noise_amp_at(x)
         A = np.outer(g, g) * model.sigma
         lam = float(np.linalg.eigvalsh(A)[0])
@@ -102,7 +105,7 @@ def check_nondegeneracy(model: KolmogorovModel) -> AssumptionCheck:
                     f"{worst:.6g} at the witness point"),
             witness={"point": [float(v) for v in worst_x], "eigenvalue": worst},
         )
-    if isinstance(model.noise, ConstantNoise):
+    if constant:
         # constant amplitudes with positive definite sigma: exact statement
         return AssumptionCheck(
             name="nondegenerate-noise", status="pass",
@@ -128,6 +131,34 @@ def _lv_blocks(model: KolmogorovModel):
 # dissipativity penalty weight and direction seed of the sampled bracket
 _GAMMA_B = 1e-3
 _BRACKET_SEED = 77
+_RADII = (10.0, 100.0, 1000.0, 10000.0)
+_BRACKET_PASSED = "negative and improving with radius"
+_BRACKET_FAILED = "fails to certify boundedness"
+
+
+def _on_spheres(model: KolmogorovModel, seed: int, stream: int, tilted: bool):
+    """Yield (radius, points, f, g) on growing spheres: the n half-axes (each
+    followed, when ``tilted`` and n > 1, by its ray tilted 0.05 toward the
+    others), then 50 random rays from the Philox key (seed, stream)."""
+    n = model.n
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream], dtype=np.uint64)))
+    dirs = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        dirs.append(e)
+        if tilted and n > 1:
+            e2 = np.ones(n) * 0.05
+            e2[i] = 1.0
+            dirs.append(e2 / np.linalg.norm(e2))
+    for _ in range(50):
+        v = rng.uniform(0.05, 1.0, size=n)
+        dirs.append(v / np.linalg.norm(v))
+    dirs = np.array(dirs)
+    for r in _RADII:
+        pts = dirs * r
+        yield r, pts, model.drift_at(pts), model.noise_amp_at(pts)
 
 
 def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray) -> tuple[bool, list]:
@@ -137,34 +168,14 @@ def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray) -> tuple[bool,
                     - (1/2) sum_ij sigma_ij c_i c_j x_i x_j g_i g_j / (1 + c.x)^2
                     + _GAMMA_B (1 + sum_i (|f_i| + g_i^2)),
     which must be negative for large ||x||.  Directions: the 2n half-axes
-    plus 50 random rays; radii 10^1..10^4.  Returns (ok, table) where ok
-    means the worst value improves monotonically with radius and is
-    negative at the largest one.
+    and tilted axes plus 50 random rays; radii 10^1..10^4.  Returns (ok,
+    table) where ok means the worst value improves monotonically with
+    radius and is negative at the largest one.
     """
-    n = model.n
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([_BRACKET_SEED, 1], dtype=np.uint64)))
-    dirs = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        dirs.append(e)
-        if n > 1:
-            e2 = np.ones(n) * 0.05
-            e2[i] = 1.0
-            dirs.append(e2 / np.linalg.norm(e2))
-    for _ in range(50):
-        v = rng.uniform(0.05, 1.0, size=n)
-        dirs.append(v / np.linalg.norm(v))
-    dirs = np.array(dirs)
-    radii = [10.0, 100.0, 1000.0, 10000.0]
     sig = model.sigma
     table = []
     worst_by_radius = []
-    for r in radii:
-        pts = dirs * r
-        f = model.drift_at(pts)
-        g = model.noise_amp_at(pts)
+    for r, pts, f, g in _on_spheres(model, _BRACKET_SEED, 1, tilted=True):
         cx = pts @ c
         lin = (pts * f) @ c / (1.0 + cx)
         quad = np.einsum("pi,ij,pj->p", pts * g * c, sig, pts * g) / (1.0 + cx) ** 2
@@ -178,6 +189,19 @@ def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray) -> tuple[bool,
         for k in range(len(worst_by_radius) - 1)
     )
     return ok, table
+
+
+def _sampled_tightness(model: KolmogorovModel, lead: str, passed: str,
+                       failed: str) -> AssumptionCheck:
+    """The sampled bracket with unit weights as a tightness verdict: ``lead``
+    followed by ``passed`` or ``failed``."""
+    ok, table = _sampled_dissipativity(model, np.ones(model.n))
+    return AssumptionCheck(
+        name="tightness",
+        status="heuristic-pass" if ok else "heuristic-fail",
+        detail=lead + (passed if ok else failed),
+        witness={"c": [1.0] * model.n, "radii": table},
+    )
 
 
 def check_tightness(model: KolmogorovModel) -> AssumptionCheck:
@@ -233,15 +257,10 @@ def check_tightness(model: KolmogorovModel) -> AssumptionCheck:
                             "drift_lower_bound": float(drift_rate),
                         },
                     )
-                ok, table = _sampled_dissipativity(model, np.ones(2))
-                return AssumptionCheck(
-                    name="tightness",
-                    status="heuristic-pass" if ok else "heuristic-fail",
-                    detail=("mutual-benefit coupling with b1*b2 - c1*c2 > 0: no "
-                            "structured certificate, sampled bracket "
-                            + ("negative and improving" if ok else "not conclusive")),
-                    witness={"c": [1.0, 1.0], "radii": table},
-                )
+                return _sampled_tightness(
+                    model, "mutual-benefit coupling with b1*b2 - c1*c2 > 0: no "
+                    "structured certificate, sampled bracket ",
+                    "negative and improving", "not conclusive")
             for p, q in ((0, 1), (1, 0)):
                 # species p is prey for predator q
                 if B[q, p] > 0.0 and B[p, q] < 0.0 and a[q] <= 0.0:
@@ -255,29 +274,17 @@ def check_tightness(model: KolmogorovModel) -> AssumptionCheck:
                         witness={"c": [float(v) for v in c]},
                     )
         if diag_neg:
-            ok, table = _sampled_dissipativity(model, np.ones(n))
-            return AssumptionCheck(
-                name="tightness",
-                status="heuristic-pass" if ok else "heuristic-fail",
-                detail=("mixed interaction signs: sampled Lyapunov bracket with unit "
-                        "weights " + ("negative and improving with radius"
-                                      if ok else "fails to certify boundedness")),
-                witness={"c": [1.0] * n, "radii": table},
-            )
+            return _sampled_tightness(
+                model, "mixed interaction signs: sampled Lyapunov bracket with "
+                "unit weights ", _BRACKET_PASSED, _BRACKET_FAILED)
         return AssumptionCheck(
             name="tightness", status="heuristic-fail",
             detail="a species lacks self-limitation (nonnegative diagonal entry)",
             witness={"diagonal": [float(B[i, i]) for i in range(n)]},
         )
-    ok, table = _sampled_dissipativity(model, np.ones(model.n))
-    return AssumptionCheck(
-        name="tightness",
-        status="heuristic-pass" if ok else "heuristic-fail",
-        detail=("general coefficients: sampled Lyapunov bracket "
-                + ("negative and improving with radius" if ok
-                   else "fails to certify boundedness")),
-        witness={"c": [1.0] * model.n, "radii": table},
-    )
+    return _sampled_tightness(
+        model, "general coefficients: sampled Lyapunov bracket ",
+        _BRACKET_PASSED, _BRACKET_FAILED)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +311,9 @@ def check_growth_condition(model: KolmogorovModel) -> AssumptionCheck:
             detail=(f"constant noise with affine drift: ratio decays like "
                     f"||x||^({_DELTA1} - 1)"),
         )
-    n = model.n
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([_GROWTH_SEED, 2], dtype=np.uint64)))
-    dirs = [np.eye(n)[i] for i in range(n)]
-    for _ in range(50):
-        v = rng.uniform(0.05, 1.0, size=n)
-        dirs.append(v / np.linalg.norm(v))
-    dirs = np.array(dirs)
-    radii = [10.0, 100.0, 1000.0, 10000.0]
     worst = []
     table = []
-    for r in radii:
-        pts = dirs * r
-        f = model.drift_at(pts)
-        g = model.noise_amp_at(pts)
+    for r, _pts, f, g in _on_spheres(model, _GROWTH_SEED, 2, tilted=False):
         num = r ** _DELTA1 * np.sum(g * g, axis=1)
         den = 1.0 + np.sum(np.abs(f) + g * g, axis=1)
         w = float(np.max(num / den))
@@ -329,7 +324,7 @@ def check_growth_condition(model: KolmogorovModel) -> AssumptionCheck:
     if decaying and small:
         return AssumptionCheck(
             name="growth-bound", status="heuristic-pass",
-            detail=f"sampled ratio decays to {worst[-1]:.3g} at radius {radii[-1]:g}",
+            detail=f"sampled ratio decays to {worst[-1]:.3g} at radius {_RADII[-1]:g}",
             witness={"radii": table},
         )
     return AssumptionCheck(

@@ -279,8 +279,7 @@ def _extinction_targets(table: InvasionRateTable,
 # full pipeline
 
 def classify(model: KolmogorovModel,
-             budget: AnalysisBudget | None = None,
-             assumptions: AssumptionReport | None = None) -> Verdict:
+             budget: AnalysisBudget | None = None) -> Verdict:
     """Classify the long-run behaviour of the system.
 
     Routing: assumption failures short-circuit (a certified dissipativity
@@ -289,18 +288,18 @@ def classify(model: KolmogorovModel,
     persistence is tested, and failing that the extinction partition is
     built.  Every Inconclusive carries the reason.
     """
-    if assumptions is None:
-        assumptions = run_assumption_checks(model)
+    assumptions = run_assumption_checks(model)
     notes: list[str] = list(assumptions.notes)
 
+    def refuse(refusal: PersistenceRefusal, **found) -> Verdict:
+        return Verdict(kind="Inconclusive", assumptions=assumptions,
+                       refusal=refusal, notes=notes, **found)
+
     if assumptions.nondegenerate.status == "fail":
-        return Verdict(
-            kind="Inconclusive", assumptions=assumptions,
-            refusal=PersistenceRefusal(
-                reason=("noise degenerates somewhere on the state space: "
-                        + assumptions.nondegenerate.detail),
-                suggestion="the classification theory needs nondegenerate noise"),
-            notes=notes)
+        return refuse(PersistenceRefusal(
+            reason=("noise degenerates somewhere on the state space: "
+                    + assumptions.nondegenerate.detail),
+            suggestion="the classification theory needs nondegenerate noise"))
 
     if assumptions.tightness.status == "fail":
         return Verdict(
@@ -308,22 +307,17 @@ def classify(model: KolmogorovModel,
             blowup_witness=assumptions.tightness.witness,
             notes=notes + ["mass escapes to infinity along the certified direction"])
     if assumptions.tightness.status == "heuristic-fail":
-        return Verdict(
-            kind="Inconclusive", assumptions=assumptions,
-            refusal=PersistenceRefusal(
-                reason=("could not verify that the dynamics stay tight: "
-                        + assumptions.tightness.detail),
-                suggestion="no blow-up certificate either; inspect the model drift"),
-            notes=notes)
+        return refuse(PersistenceRefusal(
+            reason=("could not verify that the dynamics stay tight: "
+                    + assumptions.tightness.detail),
+            suggestion="no blow-up certificate either; inspect the model drift"))
 
     discovery = discover_boundary(model, budget)
     if discovery.unresolved:
         face, reason = discovery.unresolved[0]
-        return Verdict(
-            kind="Inconclusive", assumptions=assumptions, discovery=discovery,
-            refusal=PersistenceRefusal(
-                reason=f"boundary face {_face_label(face)} unresolved: {reason}"),
-            notes=notes)
+        return refuse(PersistenceRefusal(
+            reason=f"boundary face {_face_label(face)} unresolved: {reason}"),
+            discovery=discovery)
 
     outcome = check_persistence(discovery.table)
     if isinstance(outcome, PersistenceCertificate):
@@ -333,18 +327,14 @@ def classify(model: KolmogorovModel,
         return Verdict(kind="Persistent", assumptions=assumptions,
                        discovery=discovery, certificate=outcome, notes=notes)
     if not outcome.decided:
-        return Verdict(kind="Inconclusive", assumptions=assumptions,
-                       discovery=discovery, refusal=outcome, notes=notes)
+        return refuse(outcome, discovery=discovery)
 
     partition = partition_measures(discovery.table)
     if partition.undecided:
         key, reason = partition.undecided[0]
-        return Verdict(
-            kind="Inconclusive", assumptions=assumptions, discovery=discovery,
-            partition=partition,
-            refusal=PersistenceRefusal(
-                reason=f"extinction partition undecided at {key}: {reason}"),
-            notes=notes)
+        return refuse(PersistenceRefusal(
+            reason=f"extinction partition undecided at {key}: {reason}"),
+            discovery=discovery, partition=partition)
     if partition.sinks:
         targets = _extinction_targets(discovery.table, partition)
         growth_ok = assumptions.growth.status in ("pass", "heuristic-pass")
@@ -361,10 +351,7 @@ def classify(model: KolmogorovModel,
         return Verdict(kind="Extinction", assumptions=assumptions,
                        discovery=discovery, partition=partition,
                        targets=targets, strength=strength, notes=notes)
-    return Verdict(
-        kind="Inconclusive", assumptions=assumptions, discovery=discovery,
-        partition=partition,
-        refusal=PersistenceRefusal(
-            reason=("the system is not persistent, yet no boundary measure is a "
-                    "sink: the invasion graph has no attracting end at this budget")),
-        notes=notes)
+    return refuse(PersistenceRefusal(
+        reason=("the system is not persistent, yet no boundary measure is a "
+                "sink: the invasion graph has no attracting end at this budget")),
+        discovery=discovery, partition=partition)

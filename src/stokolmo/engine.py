@@ -16,10 +16,12 @@ Paths are stepped in blocks, vectorized across paths, and every block
 keeps running reductions; the leading ``keep`` paths of an ensemble
 also keep every state, so stored paths and the ensemble statistics come
 from one pass.  A block is laid out species-major: its state is (n, paths)
-and each chunk of ``_CHUNK`` time steps holds two float64 (``_CHUNK``, n,
-paths) buffers, its noise increments and its log states, so every
-per-step operation and every per-species constant or per-path mask runs
-over contiguous rows of paths.  The paths are split into the fewest
+and each chunk of ``_CHUNK`` time steps holds one float64 (``_CHUNK``, n,
+paths) buffer.  It starts as the chunk's noise increments; each step
+writes its log state over the noise row it has used, and X overwrites the
+log states once the chunk's reductions have read them.  Every per-step
+operation and every per-species constant or per-path mask runs over
+contiguous rows of paths.  The paths are split into the fewest
 contiguous, near-equal blocks whose buffer fits the ``_BLOCK_BYTES`` cap.
 Each path draws its chunk of standard normals into one reused (``_CHUNK``,
 n) buffer and mixes species i as 0.0 plus the nonzero L[i, j] xi_j terms
@@ -89,8 +91,8 @@ class SimConfig:
                 raise EngineError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise EngineError("dt must be positive")
-        if not math.isfinite(self.t_max / self.dt):
-            raise EngineError("t_max / dt must be a finite step count")
+        if not abs(self.t_max / self.dt) < 2.0 ** 63:    # int64 step indices
+            raise EngineError("t_max / dt must be a finite step count below 2^63")
         if not 0.0 <= self.burn_in < self.t_max:
             raise EngineError("need 0 <= burn_in < t_max")
         if self.n_paths < 1:
@@ -255,7 +257,11 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     stats_steps = np.zeros(P, dtype=np.int64)
     hist_counts = np.zeros((W, n, nb + 2))
     errors: dict[int, str] = {}
-    states = np.empty((keep, n_steps + 1, n))
+    try:
+        states = np.empty((keep, n_steps + 1, n))
+    except MemoryError:
+        raise EngineError(f"cannot store {keep} paths of {n_steps + 1} states "
+                          f"of {n} species") from None
     states[:, 0] = y0
     if burn_idx == 0:
         y_burn[:] = Y
@@ -316,7 +322,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         y_start = Y      # the state before the chunk's first step
         # noise increments (L xi)_i, path by path so every path sees the
         # same bits in any block shape; zero L[i, j] terms are skipped
-        dW = np.empty((K, n, P))
+        buf = np.empty((K, n, P))
         draw = eps[:K]
         for p in range(P):
             gens[p].standard_normal(out=draw)
@@ -324,11 +330,10 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 acc = 0.0
                 for j, lij in terms:
                     acc = acc + draw[:, j] * lij
-                dW[:, i, p] = acc
+                buf[:, i, p] = acc
         if const_noise:
-            dW *= g_col
-            dW *= sqrt_dt
-        ybuf = np.empty((K, n, P))
+            buf *= g_col
+            buf *= sqrt_dt
 
         for k in range(K):
             gstep = step + k + 1
@@ -337,19 +342,20 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             if const_noise:
                 dY -= ito_const
                 dY *= dt
-                dY += dW[k]
+                dY += buf[k]
             else:
                 G = eval_with_isolation("noise", gstep)
                 ito = half_sig * G
                 ito *= G
                 dY -= ito
                 dY *= dt
-                G *= dW[k]
+                G *= buf[k]
                 G *= sqrt_dt
                 dY += G
             if n_live < P:
                 dY *= actf
-            Y = np.add(Y, dY, out=ybuf[k])
+            # the step has spent noise row k; its state takes the row's place
+            Y = np.add(Y, dY, out=buf[k])
             # one scalar screen per step; nan fails it too and gets the column test
             if not Y.max() <= blow_thr:
                 top = Y.max(axis=0)
@@ -366,7 +372,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                         for p in cols:
                             errors[path_ids[p]] = _nonfinite_error(gstep * dt)
                         freeze(cols, gstep)
-                        terminal[:, cols] = (ybuf[k - 1] if k else y_start)[:, cols]
+                        terminal[:, cols] = (buf[k - 1] if k else y_start)[:, cols]
                     # inf * 0 is nan: where a drift or noise term is infinite
                     # at x0, a parked path turns nan again each step; park it again
                     Y[:, nan] = y0[:, None]
@@ -375,9 +381,9 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             if n_live == 0:
                 # every path halted: the remaining steps would all be masked out
                 K = k + 1
-                ybuf = ybuf[:K]
+                buf = buf[:K]
                 break
-        # keep the state, not a view of the chunk's buffers
+        # keep the state, not a view of the chunk's buffer
         Y = Y.copy()
         # a state that reaches -inf stays there (-inf plus anything finite) or
         # is aborted later in the chunk, on a nan or a domain error, with the
@@ -385,22 +391,22 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         # which is aborted at its first -inf step instead
         for p in np.flatnonzero(np.isneginf(Y).any(axis=0)
                                 | np.isneginf(terminal).any(axis=0)):
-            k = int(np.isneginf(ybuf[:, :, p]).any(axis=1).argmax())
+            k = int(np.isneginf(buf[:, :, p]).any(axis=1).argmax())
             gstep = step + k + 1
             errors[path_ids[p]] = _nonfinite_error(gstep * dt)
             freeze([p], gstep)
-            terminal[:, p] = (ybuf[k - 1] if k else y_start)[:, p]
-            ybuf[k:, :, p] = y0
+            terminal[:, p] = (buf[k - 1] if k else y_start)[:, p]
+            buf[k:, :, p] = y0
             blow_time[p] = np.nan
             if gstep <= burn_idx:
                 y_burn[:, p] = np.nan
-        states[:, step + 1:step + K + 1] = ybuf[:, :, :keep].transpose(2, 0, 1)
+        states[:, step + 1:step + K + 1] = buf[:, :, :keep].transpose(2, 0, 1)
 
         gsteps = np.arange(step + 1, step + K + 1)
         valid = gsteps[:, None] < halt_step[None, :]          # (K, P)
         stats_mask = valid & (gsteps[:, None] > burn_idx)
         # extinction first hits, only while a path is live
-        hits = ybuf < EXTINCT_LOG_THRESHOLD
+        hits = buf < EXTINCT_LOG_THRESHOLD
         hits &= valid[:, None, :]
         hits &= pending_ext
         anyhit = hits.any(axis=0)
@@ -410,17 +416,14 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
             extinct_time[anyhit] = t_hit[anyhit]
             pending_ext &= ~anyhit
         del hits
-        # occupation and moment accumulation over post-burn-in live steps,
-        # with X put into the spent noise buffer
+        # occupation and moment accumulation over post-burn-in live steps;
+        # X overwrites the log states last
         if stats_mask.any():
-            xbuf = np.exp(ybuf, out=dW[:K])
-            xbuf *= stats_mask[:, None, :]
-            sum_x += _step_sum(xbuf)
             stats_steps += stats_mask.sum(axis=0)
             wid = np.minimum(((gsteps - burn_idx - 1) * W) // windows_len, W - 1)
             offset = (wid * (nb + 2))[:, None]
             for i in range(n):
-                scaled = ybuf[:, i] - _GRID_LO
+                scaled = buf[:, i] - _GRID_LO
                 scaled *= inv_width
                 idx = scaled.astype(np.int64)
                 del scaled
@@ -428,8 +431,11 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 idx += offset + 1
                 hist_counts[:, i] += np.bincount(
                     idx[stats_mask], minlength=W * (nb + 2)).reshape(W, nb + 2)
-            del xbuf, idx
-        del dW, ybuf
+            del idx
+            np.exp(buf, out=buf)
+            buf *= stats_mask[:, None, :]
+            sum_x += _step_sum(buf)
+        del buf
         step += K
         if n_live == 0:
             break
@@ -538,20 +544,15 @@ def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig,
         mean_state = np.full(model.n, np.nan)
 
     edges = _GRID_LO + _GRID_WIDTH * np.arange(_GRID_BINS + 1)
-    windows = []
-    for w in range(_N_WINDOWS):
-        counts = hist_counts[w]
+
+    def histogram(counts: np.ndarray) -> OccupationHistogram:
         tot = counts.sum(axis=1, keepdims=True)
-        masses = np.divide(counts, np.maximum(tot, 1.0))
-        windows.append(OccupationHistogram(
-            edges=edges, masses=masses,
-            total_weight=float(counts[0].sum() * cfg.dt)))
-    pooled_counts = hist_counts.sum(axis=0)
-    tot = pooled_counts.sum(axis=1, keepdims=True)
-    pooled = OccupationHistogram(
-        edges=edges,
-        masses=np.divide(pooled_counts, np.maximum(tot, 1.0)),
-        total_weight=float(pooled_counts[0].sum() * cfg.dt))
+        return OccupationHistogram(
+            edges=edges, masses=np.divide(counts, np.maximum(tot, 1.0)),
+            total_weight=float(counts[0].sum() * cfg.dt))
+
+    windows = [histogram(hist_counts[w]) for w in range(_N_WINDOWS)]
+    pooled = histogram(hist_counts.sum(axis=0))
 
     return EnsembleStats(
         y_end=y_end, t_end=t_end, y_burn=y_burn,

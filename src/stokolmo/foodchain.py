@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StokolmoError
-from .model import KolmogorovModel, ModelError, parse_model
+from .model import KolmogorovModel, ModelError, json_number, parse_model
 
 
 class FoodChainError(StokolmoError):
@@ -65,6 +65,8 @@ class FoodChainParams:
                 raise FoodChainError(f"{name}: expected length {ln}")
             if not np.all(np.isfinite(arr)):
                 raise FoodChainError(f"{name}: entries must be finite")
+        if not np.isfinite(self.a10):
+            raise FoodChainError("a10: must be finite")
         if self.intra[0] <= 0.0:
             raise FoodChainError("intra[0] (prey self-limitation a_11) must be positive")
         if np.any(self.intra < 0.0) or np.any(self.prey_gain < 0.0) \
@@ -215,7 +217,8 @@ def classify_food_chain(params: FoodChainParams) -> FoodChainVerdict:
 def parse_food_chain(text: str) -> FoodChainParams:
     try:
         doc = json.loads(text)
-    except ValueError as exc:    # bad syntax, or an integer of over 4300 digits
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an integer of over 4300 digits, or nesting too deep
         raise FoodChainError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FoodChainError("expected a JSON object")
@@ -235,13 +238,13 @@ def parse_food_chain(text: str) -> FoodChainParams:
         if not isinstance(v, list) or len(v) != ln \
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
             raise FoodChainError(f"{key}: expected {ln} numbers")
-        return np.array(v, dtype=float)
+        return np.array([json_number(x) for x in v], dtype=float)
 
     a10 = doc["a10"]
     if not isinstance(a10, (int, float)) or isinstance(a10, bool):
         raise FoodChainError("a10: expected a number")
     return FoodChainParams(
-        n=n, a10=float(a10), death=arr("death", n - 1),
+        n=n, a10=json_number(a10), death=arr("death", n - 1),
         prey_gain=arr("prey_gain", n - 1), loss=arr("loss", n - 1),
         intra=arr("intra", n), sigma_diag=arr("sigma_diag", n))
 

@@ -72,6 +72,16 @@ def t_quantile_975(df: int) -> float:
     return _T975.get(df, 1.96 + 2.52 / df)
 
 
+def _batch_interval(batches: np.ndarray) -> np.ndarray:
+    """95 % half width of the mean of each column's batch means."""
+    b = batches.shape[0]
+    return t_quantile_975(b - 1) * batches.std(axis=0, ddof=1) / np.sqrt(b)
+
+
+def _face_label(face) -> str:
+    return "{" + ", ".join(str(i + 1) for i in face) + "}"
+
+
 class MeasureError(StokolmoError):
     pass
 
@@ -94,8 +104,6 @@ class AnalysisBudget:
 class EmpiricalPayload:
     batch_rates: np.ndarray      # (batches, n_full) integrand batch means
     batch_moments: np.ndarray    # (batches, |face|) state batch means
-    sim_time: float
-    n_paths: int
 
 
 @dataclass
@@ -165,19 +173,16 @@ def lv_face_equilibrium(model: KolmogorovModel, face) -> tuple[np.ndarray, float
     try:
         m = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        raise MeasureError(
-            f"face {{{', '.join(str(i + 1) for i in idx)}}}: singular interaction "
-            "block, no unique interior equilibrium") from None
+        raise MeasureError(f"face {_face_label(idx)}: singular interaction block, "
+                           "no unique interior equilibrium") from None
     scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(rhs))))
     residual = float(np.max(np.abs(A @ m - rhs)))
     if residual > 1e-10 * scale:
-        raise MeasureError(
-            f"face {{{', '.join(str(i + 1) for i in idx)}}}: ill-conditioned "
-            f"interaction block (residual {residual:.3g})")
+        raise MeasureError(f"face {_face_label(idx)}: ill-conditioned interaction "
+                           f"block (residual {residual:.3g})")
     if np.any(m <= 0.0):
-        raise MeasureError(
-            f"face {{{', '.join(str(i + 1) for i in idx)}}}: equilibrium has a "
-            "non-positive component, no interior measure on this face")
+        raise MeasureError(f"face {_face_label(idx)}: equilibrium has a non-positive "
+                           "component, no interior measure on this face")
     full = np.zeros(model.n)
     full[sel] = m
     return full, residual
@@ -200,7 +205,6 @@ class StationaryDensity1D:
 
     u: np.ndarray                # grid, ascending, odd length
     pdf: np.ndarray              # normalized density values on the grid
-    log_w: np.ndarray            # grid in w = ln u
     mass_weights: np.ndarray     # Simpson weights for integral of h(u) p(u) du
     mean: float
     second_moment: float
@@ -263,13 +267,6 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
         raise MeasureError("stationary_density_1d needs a one-species model")
     sigma = float(model1d.sigma[0, 0])
 
-    def f_of(u_arr: np.ndarray) -> np.ndarray:
-        return model1d.drift_at(u_arr[:, None])[:, 0]
-
-    def g2_of(u_arr: np.ndarray) -> np.ndarray:
-        g = model1d.noise_amp_at(u_arr[:, None])[:, 0]
-        return g * g
-
     lam0 = float(model1d.growth_rate_origin()[0])
     if lam0 <= 1e-12:
         raise DensityError(
@@ -282,16 +279,19 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
         w = np.linspace(w_lo, w_hi, m)
         h = w[1] - w[0]
         u = np.exp(w)
-        d = 2.0 * f_of(u) / (sigma * g2_of(u))
+        fu = model1d.drift_at(u[:, None])[:, 0]
+        g = model1d.noise_amp_at(u[:, None])[:, 0]
+        g2u = g * g
+        d = 2.0 * fu / (sigma * g2u)
         psi = _cumulative_simpson(d, h)
-        logq = -np.log(sigma * g2_of(u)) - 2.0 * w + psi
+        logq = -np.log(sigma * g2u) - 2.0 * w + psi
         s = logq + w   # log of the mass integrand in w space
-        return w, h, u, logq, s
+        return h, u, s, fu, g2u
 
     # locate a window: expand until both endpoints are far below the peak
     w_lo, w_hi = -3.0, 3.0
     for _ in range(80):
-        w, h, u, logq, s = build(w_lo, w_hi, 513)
+        h, u, s, fu, g2u = build(w_lo, w_hi, 513)
         smax = float(np.max(s))
         grew_hi = False
         if s[-1] > smax - drop:
@@ -317,7 +317,7 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
     m = _DENSITY_GRID
     prev = None
     for _ in range(6):
-        w, h, u, logq, s = build(w_lo, w_hi, m)
+        h, u, s, fu, g2u = build(w_lo, w_hi, m)
         shift = float(np.max(s))
         weights = _simpson_weights(m, h)
         core = np.exp(s - shift)
@@ -355,16 +355,14 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
     mass_weights = weights * core / z
 
     dens = StationaryDensity1D(
-        u=u, pdf=pdf, log_w=w, mass_weights=mass_weights, mean=mean,
+        u=u, pdf=pdf, mass_weights=mass_weights, mean=mean,
         second_moment=second, tail_mass=tail_mass, head_mass=head_mass,
         weak_residual=0.0, quad_ci=0.0,
     )
 
     # weak-form self test: the generator must integrate to zero against
     # smooth test functions; this exercises psi, the normalization and the
-    # grid all at once
-    fu = f_of(u)
-    g2u = g2_of(u)
+    # grid all at once, with the drift and noise of the last grid
 
     def gen_apply(phi1, phi2):
         # L phi = u f phi' + (sigma/2) u^2 g^2 phi''
@@ -519,18 +517,17 @@ def _lv_rates(model: KolmogorovModel, moments: np.ndarray) -> np.ndarray:
 
 def _density_rates(model: KolmogorovModel, species: int,
                    dens: StationaryDensity1D) -> tuple[np.ndarray, np.ndarray]:
-    n = model.n
-    rates = np.empty(n)
-    cis = np.empty(n)
-    for i in range(n):
-        def integrand(u_arr, i=i):
-            X = np.zeros((u_arr.shape[0], n))
-            X[:, species] = u_arr
-            F = model.drift_at(X)[:, i]
-            G = model.noise_amp_at(X)[:, i]
-            return F - 0.5 * model.sigma[i, i] * G * G
-        rates[i] = dens.expectation(integrand)
-        scale = dens.expectation(lambda u_arr, i=i: np.abs(integrand(u_arr, i)))
+    X = np.zeros((dens.u.shape[0], model.n))
+    X[:, species] = dens.u
+    G = model.noise_amp_at(X)
+    # one contiguous row per species, integrated as ``expectation`` does
+    integ = np.ascontiguousarray(
+        (model.drift_at(X) - 0.5 * np.diag(model.sigma) * G * G).T)
+    rates = np.empty(model.n)
+    cis = np.empty(model.n)
+    for i, row in enumerate(integ):
+        rates[i] = np.dot(dens.mass_weights, row)
+        scale = float(np.dot(dens.mass_weights, np.abs(row)))
         cis[i] = dens.quad_ci * max(1.0, abs(scale))
     return rates, cis
 
@@ -545,10 +542,7 @@ def measure_rates(model: KolmogorovModel, mu: ErgodicMeasure) -> tuple[np.ndarra
         return _density_rates(model, mu.support[0], mu.density)
     if mu.kind == "empirical":
         br = mu.empirical.batch_rates
-        b = br.shape[0]
-        rate = br.mean(axis=0)
-        ci = t_quantile_975(b - 1) * br.std(axis=0, ddof=1) / np.sqrt(b)
-        return rate, ci
+        return br.mean(axis=0), _batch_interval(br)
     raise MeasureError(f"unknown measure kind {mu.kind}")
 
 
@@ -594,14 +588,13 @@ def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
         if traj.error is not None:
             raise EngineError(traj.error)
         if traj.blowup_time is not None:
-            raise MeasureError(
-                f"face {{{', '.join(str(i + 1) for i in face)}}}: occupation "
-                "simulation hit the blow-up threshold")
+            raise MeasureError(f"face {_face_label(face)}: occupation simulation hit "
+                               "the blow-up threshold")
         if np.any(np.isfinite(traj.extinct_times)):
             raise MeasureError(
-                f"face {{{', '.join(str(i + 1) for i in face)}}}: occupation "
-                "simulation crossed the extinction threshold, the face does not "
-                "hold an interior measure at this budget")
+                f"face {_face_label(face)}: occupation simulation crossed the "
+                "extinction threshold, the face does not hold an interior "
+                "measure at this budget")
         k0 = cfg.burn_steps + 1
         Xf = np.exp(traj.log_states[k0:])
         S = (Xf.shape[0] // per_path) * per_path
@@ -616,30 +609,24 @@ def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
             batch_moments.append(Xf[seg].mean(axis=0))
     br = np.array(batch_rates)
     bm = np.array(batch_moments)
-    b = br.shape[0]
-    tq = t_quantile_975(b - 1)
-    mom_face = bm.mean(axis=0)
-    mom_ci_face = tq * bm.std(axis=0, ddof=1) / np.sqrt(b)
     moments = np.zeros(model.n)
-    moments[sel] = mom_face
+    moments[sel] = bm.mean(axis=0)
     moments_ci = np.zeros(model.n)
-    moments_ci[sel] = mom_ci_face
+    moments_ci[sel] = _batch_interval(bm)
 
     rate = br.mean(axis=0)
-    ci = tq * br.std(axis=0, ddof=1) / np.sqrt(b)
+    ci = _batch_interval(br)
     for i in face:
         if abs(rate[i]) > max(ci[i], 1e-10):
             raise MeasureError(
-                f"face {{{', '.join(str(j + 1) for j in face)}}}: occupation "
-                f"average violates the zero-rate identity for species {i + 1} "
-                f"({rate[i]:.4g} beyond its interval {ci[i]:.4g}); the "
-                "simulation has not equilibrated at this budget")
-    payload = EmpiricalPayload(
-        batch_rates=br, batch_moments=bm,
-        sim_time=cfg.n_paths * (cfg.t_max - cfg.burn_in), n_paths=cfg.n_paths)
+                f"face {_face_label(face)}: occupation average violates the "
+                f"zero-rate identity for species {i + 1} ({rate[i]:.4g} beyond its "
+                f"interval {ci[i]:.4g}); the simulation has not equilibrated at "
+                "this budget")
     return ErgodicMeasure(
         support=tuple(face), kind="empirical", provenance="monte-carlo",
-        moments=moments, moments_ci=moments_ci, empirical=payload,
+        moments=moments, moments_ci=moments_ci,
+        empirical=EmpiricalPayload(batch_rates=br, batch_moments=bm),
         residual=float(np.max(np.abs(rate[sel]))),
     )
 
@@ -658,10 +645,6 @@ class BoundaryDiscovery:
             {"face": [i + 1 for i in face], "reason": reason}
             for face, reason in self.unresolved
         ]
-
-
-def _face_label(face) -> str:
-    return "{" + ", ".join(str(i + 1) for i in face) + "}"
 
 
 def _build_face_measure(model: KolmogorovModel, face: tuple[int, ...],

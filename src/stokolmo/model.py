@@ -27,6 +27,7 @@ JSON schema, one of "lv" or "general" present:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -215,6 +216,15 @@ def _require(cond: bool, path: str, message: str):
         raise ModelError(f"{path}: {message}")
 
 
+def json_number(v) -> float:
+    """A JSON number as a float; an integer beyond the float range becomes
+    inf, which the finiteness checks refuse."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _float_list(v, path: str, length: int) -> np.ndarray:
     _require(isinstance(v, list), path, "expected a list")
     _require(len(v) == length, path, f"expected length {length}, got {len(v)}")
@@ -222,7 +232,7 @@ def _float_list(v, path: str, length: int) -> np.ndarray:
     for i, item in enumerate(v):
         _require(isinstance(item, (int, float)) and not isinstance(item, bool),
                  f"{path}[{i}]", "expected a number")
-        out[i] = float(item)
+        out[i] = json_number(item)
         _require(np.isfinite(out[i]), f"{path}[{i}]", "must be finite")
     return out
 
@@ -255,7 +265,8 @@ def parse_model(text: str) -> KolmogorovModel:
     """Parse and validate a model JSON document."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:    # bad syntax, or an integer of over 4300 digits
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an integer of over 4300 digits, or nesting too deep
         raise ModelError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "$", "expected a JSON object")
     known = {"n", "lv", "general", "sigma"}
@@ -315,26 +326,19 @@ def parse_model(text: str) -> KolmogorovModel:
             _require(key in {"f", "g"}, f"general.{key}", "unknown field")
         for key in ("f", "g"):
             _require(key in gen, f"general.{key}", "missing")
-        f_raw, g_raw = gen["f"], gen["g"]
-        _require(isinstance(f_raw, list) and len(f_raw) == n, "general.f",
-                 f"expected {n} expression strings")
-        _require(isinstance(g_raw, list) and len(g_raw) == n, "general.g",
-                 f"expected {n} expression strings")
-        f_exprs, g_exprs = [], []
-        for i, s in enumerate(f_raw):
-            _require(isinstance(s, str), f"general.f[{i}]", "expected a string")
-            try:
-                f_exprs.append(parse_expression(s, n))
-            except ExpressionSyntaxError as exc:
-                raise ModelError(f"general.f[{i}]: {exc}") from None
-        for i, s in enumerate(g_raw):
-            _require(isinstance(s, str), f"general.g[{i}]", "expected a string")
-            try:
-                g_exprs.append(parse_expression(s, n))
-            except ExpressionSyntaxError as exc:
-                raise ModelError(f"general.g[{i}]: {exc}") from None
-        drift = ExprDrift(exprs=tuple(f_exprs))
-        noise = _expression_noise(g_exprs, range(1, n + 1))
+        for key in ("f", "g"):
+            _require(isinstance(gen[key], list) and len(gen[key]) == n,
+                     f"general.{key}", f"expected {n} expression strings")
+        exprs: dict[str, list[Expression]] = {"f": [], "g": []}
+        for key, parsed in exprs.items():
+            for i, s in enumerate(gen[key]):
+                _require(isinstance(s, str), f"general.{key}[{i}]", "expected a string")
+                try:
+                    parsed.append(parse_expression(s, n))
+                except ExpressionSyntaxError as exc:
+                    raise ModelError(f"general.{key}[{i}]: {exc}") from None
+        drift = ExprDrift(exprs=tuple(exprs["f"]))
+        noise = _expression_noise(exprs["g"], range(1, n + 1))
 
     return KolmogorovModel(
         n=n, drift=drift, noise=noise, sigma=sigma, gamma_t=gamma_t,

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from stokolmo import assumptions
 from stokolmo.assumptions import (check_growth_condition, check_nondegeneracy,
                                   check_tightness, run_assumption_checks)
-from stokolmo.model import parse_model
+from stokolmo.model import KolmogorovModel, load_model, parse_model
+from tests.conftest import model_path
 
 
 def parse(doc):
@@ -131,3 +134,32 @@ def test_report_document_shape():
     assert set(doc) == {"nondegenerate", "tightness", "growth", "notes"}
     assert all(doc[k]["status"] == "pass"
                for k in ("nondegenerate", "tightness", "growth"))
+
+
+# -- one decomposition for constant noise ---------------------------------
+
+def _community(n, seed):
+    rng = np.random.default_rng(seed)
+    B = -rng.uniform(0.0, 0.3 / n, (n, n))
+    np.fill_diagonal(B, -1.0)
+    return lv(list(rng.uniform(2.0, 3.0, n)), B.tolist(),
+              sigma=np.diag(rng.uniform(0.6, 1.2, n)).tolist())
+
+
+@pytest.mark.parametrize("name", ["lv_coexist", "community10"])
+def test_constant_noise_is_decomposed_once(name, monkeypatch):
+    model = _community(10, 3) if name == "community10" else load_model(model_path(name))
+    # the per-point loop every noise model used to run
+    pts = assumptions._sample_points(model.n)
+    lams = [float(np.linalg.eigvalsh(np.outer(g, g) * model.sigma)[0])
+            for g in (model.noise_amp_at(x) for x in pts)]
+    worst = min(lams)
+    calls = []
+    noise_amp_at = KolmogorovModel.noise_amp_at
+    monkeypatch.setattr(KolmogorovModel, "noise_amp_at",
+                        lambda self, x: calls.append(x) or noise_amp_at(self, x))
+    chk = check_nondegeneracy(model)
+    assert len(calls) == 1
+    assert chk.status == "pass" and chk.witness is None
+    assert chk.detail == (f"constant noise amplitudes and positive definite covariance; "
+                          f"sampled minimum eigenvalue {worst:.6g} over {len(pts)} points")

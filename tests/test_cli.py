@@ -172,6 +172,7 @@ def test_foodchain_inconclusive(capsys, tmp_path):
     ("verify", "models/logistic.json", "--t", "2", "--paths", "4", "--format", "csv"),
     ("verify", "models/logistic.json", "--t", "2", "--paths", "4",
      "--out", "/no/such/dir/run.json"),
+    ("simulate", "models/logistic.json", "--t", "1e16"),  # steps beyond int64
 ])
 def test_input_errors_are_json_and_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -183,15 +184,33 @@ def test_input_errors_are_json_and_exit_2(capsys, argv):
     assert diag["message"]
 
 
-# a file that is not UTF-8, and an integer too long for json.loads, are
-# ValueErrors of the standard library, not of stokolmo
-@pytest.mark.parametrize("command,data", [
-    ("classify", b'{"n": 1, "sigma": [[1.0]], "x": "\xe9"}'),
-    ("classify", b'{"n": 1' + b"0" * 5000 + b"}"),
-    ("foodchain", b'{"n": 2, "x": "\xe9"}'),
-    ("foodchain", b'{"n": 2' + b"0" * 5000 + b"}"),
-], ids=["model-latin1", "model-long-int", "chain-latin1", "chain-long-int"])
-def test_unreadable_documents_are_json_and_exit_2(capsys, tmp_path, command, data):
+CHAIN = (b'{"n": 2, "a10": %s, "death": [1.0], "prey_gain": [2.0], "loss": [1.0], '
+         b'"intra": [1.0, 1.0], "sigma_diag": [1.0, 1.0]}')
+DECODE = "codec can't decode"
+TOO_LONG = "not valid JSON: Exceeds the limit"
+
+
+# a file that is not UTF-8, an integer too long for json.loads, and nesting
+# too deep for it raise in the standard library, not in stokolmo; an integer
+# beyond the float range overflows float()
+@pytest.mark.parametrize("command,data,message", [
+    ("classify", b'{"n": 1, "sigma": [[1.0]], "x": "\xe9"}', DECODE),
+    ("classify", b'{"n": 1' + b"0" * 5000 + b"}", TOO_LONG),
+    ("foodchain", b'{"n": 2, "x": "\xe9"}', DECODE),
+    ("foodchain", b'{"n": 2' + b"0" * 5000 + b"}", TOO_LONG),
+    ("check", b'{"n": 1, "lv": {"a": [1' + b"0" * 400 + b'], "B": [[-1]], "g": [1]}, '
+     b'"sigma": [[1]]}', "lv.a[0]: must be finite"),
+    ("foodchain", CHAIN % (b"1" + b"0" * 400), "a10: must be finite"),
+    ("foodchain", CHAIN % b"1e999", "a10: must be finite"),
+    ("check", b'{"n": 1, "lv": {"a": ' + b"[" * 100000 + b"]" * 100000 + b"}}",
+     "not valid JSON: maximum recursion depth"),
+    ("foodchain", b'{"n": 2, "a10": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+     "not valid JSON: maximum recursion depth"),
+], ids=["model-latin1", "model-long-int", "chain-latin1", "chain-long-int",
+        "model-int-beyond-float", "chain-int-beyond-float", "chain-a10-overflow",
+        "model-nested-too-deep", "chain-nested-too-deep"])
+def test_unreadable_documents_are_json_and_exit_2(capsys, tmp_path, command, data,
+                                                  message):
     p = tmp_path / "doc.json"
     p.write_bytes(data)
     code, out, err = run(capsys, command, str(p))
@@ -200,8 +219,19 @@ def test_unreadable_documents_are_json_and_exit_2(capsys, tmp_path, command, dat
     assert len(lines) == 1
     diag = json.loads(lines[0])
     assert diag["error"] == "input"
-    assert ("codec can't decode" in diag["message"]
-            or "not valid JSON: Exceeds the limit" in diag["message"])
+    assert message in diag["message"]
+
+
+def test_unstorable_trajectory_is_json_and_exit_2(capsys):
+    # 10^16 states of 8 bytes: more than any address space, so the
+    # allocation fails at once without touching memory
+    code, out, err = run(capsys, "simulate", "models/logistic.json", "--t", "1e13")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "EngineError"
+    assert diag["message"].startswith("cannot store 1 paths of")
 
 
 @pytest.mark.parametrize("f", [

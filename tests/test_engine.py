@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -799,3 +800,20 @@ def test_block_keeps_every_bit_of_the_path_major_reference(case, keep):
             assert max(t_end[p] for p in errors) > engine._CHUNK * cfg.dt
         else:
             assert min(t_end) == cfg.t_max > engine._CHUNK * cfg.dt
+
+
+def test_a_chunk_holds_one_buffer():
+    # each step writes its state over the noise row it has spent, so a full
+    # chunk of a 128-path block peaks near one (_CHUNK, n, paths) buffer
+    # plus its (_CHUNK, n, paths) bool extinction mask and small change
+    model = load_model(model_path("two_pred_one_prey"))
+    cfg = SimConfig(n_paths=128, t_max=41.0, dt=1e-2, burn_in=1.0)
+    y0 = np.zeros(model.n)
+    tracemalloc.start()
+    try:
+        engine._run_block(model, y0, cfg, range(128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n == 3 and cfg.n_steps > engine._CHUNK
+    assert peak < 2.5 * engine._CHUNK * model.n * 128 * 8

@@ -497,3 +497,30 @@ def test_t_quantile_table():
     with pytest.raises(ValueError):
         t_quantile_975(0)
 
+
+
+# the face_mc benchmark's two-predator community in expression form
+TWO_PREDATORS3 = {
+    "n": 3, "general": {"f": ["4.0 - 1.0*x1 - 1.0*x2 - 1.0*x3",
+                              "-0.5 + 1.5*x1 - 1.0*x2", "-0.5 + 1.5*x1 - 1.0*x3"],
+                        "g": ["1", "1", "1"]},
+    "sigma": np.eye(3).tolist()}
+
+
+@pytest.mark.parametrize("name", ["holling2d", "two_predators3"])
+def test_density_rates_keep_every_bit_of_per_species_expectations(bundled, name):
+    model = (bundled[name] if name in bundled
+             else parse_model(json.dumps(TWO_PREDATORS3)))
+    dens = stationary_density_1d(restrict_to_face(model, (0,)))
+    rates, cis = measures_mod._density_rates(model, 0, dens)
+    for i in range(model.n):
+        # the model evaluated once per species and per integral, as before
+        def integrand(u, i=i):
+            X = np.zeros((u.shape[0], model.n))
+            X[:, 0] = u
+            G = model.noise_amp_at(X)[:, i]
+            return model.drift_at(X)[:, i] - 0.5 * model.sigma[i, i] * G * G
+        scale = dens.expectation(lambda u: np.abs(integrand(u)))
+        assert rates[i].tobytes() == np.float64(dens.expectation(integrand)).tobytes()
+        assert cis[i].tobytes() == np.float64(
+            dens.quad_ci * max(1.0, abs(scale))).tobytes()
