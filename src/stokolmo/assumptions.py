@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConstantNoise, KolmogorovModel, LVDrift
+from .model import ConstantNoise, KolmogorovModel
 
 
 @dataclass
@@ -122,12 +122,6 @@ def check_nondegeneracy(model: KolmogorovModel) -> AssumptionCheck:
 # ---------------------------------------------------------------------------
 # tightness
 
-def _lv_blocks(model: KolmogorovModel):
-    if not isinstance(model.drift, LVDrift) or not isinstance(model.noise, ConstantNoise):
-        return None
-    return model.drift.a, model.drift.B, model.noise.g
-
-
 # dissipativity penalty weight and direction seed of the sampled bracket
 _GAMMA_B = 1e-3
 _BRACKET_SEED = 77
@@ -222,9 +216,8 @@ def check_tightness(model: KolmogorovModel) -> AssumptionCheck:
     Everything else falls back to sampling the Lyapunov bracket with unit
     weights on growing spheres.
     """
-    blocks = _lv_blocks(model)
-    if blocks is not None:
-        a, B, g = blocks
+    if model.is_lv:
+        B = model.drift.B
         n = model.n
         diag_neg = all(B[i, i] < 0.0 for i in range(n))
         off = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -242,8 +235,8 @@ def check_tightness(model: KolmogorovModel) -> AssumptionCheck:
                 if disc < 0.0:
                     b1, b2 = -B[0, 0], -B[1, 1]
                     c1, c2 = B[0, 1], B[1, 0]
-                    drift_rate = (b2 * (a[0] - 0.5 * model.sigma[0, 0] * g[0] ** 2)
-                                  + b1 * (a[1] - 0.5 * model.sigma[1, 1] * g[1] ** 2))
+                    r0 = model.growth_rate_origin()
+                    drift_rate = b2 * r0[0] + b1 * r0[1]
                     return AssumptionCheck(
                         name="tightness", status="fail",
                         detail=(f"mutual-benefit coupling beats self-limitation: "
@@ -263,7 +256,7 @@ def check_tightness(model: KolmogorovModel) -> AssumptionCheck:
                     "negative and improving", "not conclusive")
             for p, q in ((0, 1), (1, 0)):
                 # species p is prey for predator q
-                if B[q, p] > 0.0 and B[p, q] < 0.0 and a[q] <= 0.0:
+                if B[q, p] > 0.0 and B[p, q] < 0.0 and model.drift.a[q] <= 0.0:
                     c = np.zeros(2)
                     c[p] = B[q, p]
                     c[q] = -B[p, q]
@@ -305,7 +298,7 @@ def check_growth_condition(model: KolmogorovModel) -> AssumptionCheck:
     ratio is sampled on growing spheres and must decay monotonically below
     1e-3.
     """
-    if _lv_blocks(model) is not None:
+    if model.is_lv:
         return AssumptionCheck(
             name="growth-bound", status="pass",
             detail=(f"constant noise with affine drift: ratio decays like "

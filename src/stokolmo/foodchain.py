@@ -23,6 +23,11 @@ invasion rates I_1..I_j (I_1 := atilde_10) are all positive: levels
 above j* die out exponentially.  An extinct level k > j* decays at
 -atilde_k0 + a_{k,k-1} xbar_{k-1}, where xbar is x^{(j*)} padded with
 zeros; for k = j*+1 this is just I_{j*+1}.
+
+The chain is a Lotka-Volterra model (:func:`foodchain_to_model`) whose
+face block on {1..j} is the system above, so the equilibria come from
+the face lattice's solve, ``measures.lv_face_equilibrium``, and every
+rate from its invasion rates, ``measures._lv_rates``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StokolmoError
+from .measures import MeasureError, _lv_rates, lv_face_equilibrium
 from .model import KolmogorovModel, ModelError, json_number, parse_model
 
 
@@ -112,21 +118,11 @@ class FoodChainVerdict:
 
 
 def chain_matrix(params: FoodChainParams, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The depth-level tridiagonal system T x = b for the segment {1..depth}."""
-    T = np.zeros((depth, depth))
-    b = np.empty(depth)
-    at = params.a_tilde()
-    T[0, 0] = -params.intra[0]
-    if depth > 1:
-        T[0, 1] = -params.loss[0]
-    b[0] = -at[0]
-    for i in range(1, depth):
-        T[i, i - 1] = params.prey_gain[i - 1]
-        T[i, i] = -params.intra[i]
-        if i + 1 < depth:
-            T[i, i + 1] = -params.loss[i]
-        b[i] = at[i]
-    return T, b
+    """The depth-level tridiagonal system T x = b for the segment {1..depth}:
+    the chain model's face block (B[:depth, :depth], -r(0)[:depth])."""
+    model = foodchain_to_model(params)
+    return (model.drift.B[:depth, :depth].copy(),
+            -model.growth_rate_origin()[:depth])
 
 
 _BORDERLINE_TOL = 1e-9    # a rate this close to zero is too close to classify
@@ -136,7 +132,9 @@ def classify_food_chain(params: FoodChainParams) -> FoodChainVerdict:
     """Persistence depth of the chain, with every quantity it rests on."""
     n = params.n
     at = params.a_tilde()
-    rates = [float(at[0])]          # I_1
+    model = foodchain_to_model(params)
+    xbar = np.zeros(n)               # the surviving segment's equilibrium, padded
+    rates = [float(_lv_rates(model, xbar)[0])]      # I_1
     equilibria: list[np.ndarray] = []
     worst_residual = 0.0
 
@@ -146,30 +144,26 @@ def classify_food_chain(params: FoodChainParams) -> FoodChainVerdict:
             equilibria=equilibria, extinction_rates=np.zeros(0),
             residual=worst_residual, reason=reason)
 
-    if abs(at[0]) <= _BORDERLINE_TOL:
-        return refuse(0, (f"adjusted prey growth rate {at[0]:.3g} is numerically zero; "
+    if abs(rates[0]) <= _BORDERLINE_TOL:
+        return refuse(0, (f"adjusted prey growth rate {rates[0]:.3g} is numerically zero; "
                           "the chain sits on the collapse boundary"))
 
     j_star = 0
-    if at[0] > 0.0:
+    if rates[0] > 0.0:
         j_star = 1
-        for j in range(1, n):
-            # equilibrium of the first j levels, then level j+1's invasion rate
-            T, b = chain_matrix(params, j)
+        # the equilibrium of the first j levels, then level j+1's invasion
+        # rate; every level invades once the interior, depth n, is solved
+        for j in range(1, n + 1):
             try:
-                x = np.linalg.solve(T, b)
-            except np.linalg.LinAlgError:
-                return refuse(j_star, f"depth-{j} equilibrium system is singular")
-            scale = max(1.0, float(np.max(np.abs(T))), float(np.max(np.abs(b))))
-            res = float(np.max(np.abs(T @ x - b)))
+                x, res = lv_face_equilibrium(model, range(j))
+            except MeasureError as exc:
+                return refuse(min(j_star, n - 1), f"depth-{j} equilibrium: {exc}")
             worst_residual = max(worst_residual, res)
-            if res > 1e-10 * scale:
-                return refuse(j_star, f"depth-{j} equilibrium solve residual {res:.3g} too large")
-            if np.any(x <= 0.0):
-                return refuse(j_star, (f"depth-{j} equilibrium has a nonpositive component, "
-                                       "violating the chain's positivity structure"))
-            equilibria.append(x)
-            inv = float(-at[j] + params.prey_gain[j - 1] * x[j - 1])
+            equilibria.append(x[:j])
+            if j == n:
+                break
+            xbar = x
+            inv = float(_lv_rates(model, xbar)[j])
             rates.append(inv)
             if abs(inv) <= _BORDERLINE_TOL:
                 return refuse(j_star, (f"invasion rate of level {j + 1} is {inv:.3g}, too "
@@ -177,38 +171,15 @@ def classify_food_chain(params: FoodChainParams) -> FoodChainVerdict:
             if inv < 0.0:
                 break
             j_star = j + 1
-        else:
-            # every level invades: need the full interior equilibrium too
-            T, b = chain_matrix(params, n)
-            try:
-                x = np.linalg.solve(T, b)
-            except np.linalg.LinAlgError:
-                return refuse(n - 1, "interior equilibrium system is singular")
-            res = float(np.max(np.abs(T @ x - b)))
-            worst_residual = max(worst_residual, res)
-            if np.any(x <= 0.0) or res > 1e-10 * max(1.0, float(np.max(np.abs(b)))):
-                return refuse(n - 1, "interior equilibrium not strictly positive")
-            equilibria.append(x)
-
-    if j_star == n:
-        return FoodChainVerdict(
-            kind="Persistent", j_star=n, a_tilde=at, invasion_rates=rates,
-            equilibria=equilibria, extinction_rates=np.zeros(0),
-            residual=worst_residual)
 
     # levels above j* decay at their invasion rate against the surviving
-    # segment's stationary state (zero prey density for k > j* + 1)
-    xbar = np.zeros(n)
-    if j_star >= 1:
-        xbar[:j_star] = equilibria[j_star - 1]
-    # level 1 has no prey below it: against the origin it decays at a_tilde_10
-    ext = np.array([
-        at[k] if k == 0 else -at[k] + params.prey_gain[k - 1] * xbar[k - 1]
-        for k in range(j_star, n)
-    ])
+    # segment's equilibrium (zero prey density for k > j* + 1, and level 1
+    # decays at a_tilde_10 against the origin); none do when j* = n
     return FoodChainVerdict(
-        kind="Extinction", j_star=j_star, a_tilde=at, invasion_rates=rates,
-        equilibria=equilibria, extinction_rates=ext, residual=worst_residual)
+        kind="Persistent" if j_star == n else "Extinction", j_star=j_star,
+        a_tilde=at, invasion_rates=rates,
+        equilibria=equilibria, extinction_rates=_lv_rates(model, xbar)[j_star:],
+        residual=worst_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .engine import EngineError, SimConfig, simulate_ensemble
 # by name and fails if the attribute is missing, so the name stays importable.
 from .engine import simulate_path  # noqa: F401
 from .errors import StokolmoError
-from .model import ConstantNoise, KolmogorovModel, LVDrift, restrict_to_face
+from .model import KolmogorovModel, restrict_to_face
 from .simplex import maximin_bounds, solve_maximin
 
 _MASK64 = (1 << 64) - 1
@@ -155,21 +155,21 @@ def lv_face_equilibrium(model: KolmogorovModel, face) -> tuple[np.ndarray, float
     """First moments of the interior measure on a face, for LV models.
 
     On the face the stationary moments solve the linear system
-        a_i - sigma_ii g_i^2 / 2 + sum_{j in face} B_ij m_j = 0, i in face.
+        r_i(0) + sum_{j in face} B_ij m_j = 0, i in face,
+    with r(0) = a - sigma_ii g_i^2 / 2 the rates at the origin.
     Returns (moments embedded in full space, residual).  Raises
     :class:`MeasureError` when the system is singular or the solution is
     not strictly positive, in which case the face carries no interior
     measure representable this way.
     """
-    if not isinstance(model.drift, LVDrift) or not isinstance(model.noise, ConstantNoise):
+    if not model.is_lv:
         raise MeasureError("face equilibrium needs Lotka-Volterra drift with constant noise")
     idx = sorted(set(int(i) for i in face))
     if not idx:
         raise MeasureError("face must contain at least one species")
     sel = np.array(idx, dtype=int)
     A = model.drift.B[np.ix_(sel, sel)]
-    rhs = -(model.drift.a[sel]
-            - 0.5 * np.diag(model.sigma)[sel] * model.noise.g[sel] ** 2)
+    rhs = -model.growth_rate_origin()[sel]
     try:
         m = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
@@ -510,19 +510,17 @@ def _bound_decision(rates: np.ndarray, ci: np.ndarray) -> str | None:
 
 
 def _lv_rates(model: KolmogorovModel, moments: np.ndarray) -> np.ndarray:
-    a, B = model.drift.a, model.drift.B
-    g = model.noise.g
-    return a - 0.5 * np.diag(model.sigma) * g * g + B @ moments
+    """Invasion rates against the LV measure with these first moments: the
+    growth is affine, so its average is its value at the moments."""
+    return model.growth_rate_origin() + model.drift.B @ moments
 
 
 def _density_rates(model: KolmogorovModel, species: int,
                    dens: StationaryDensity1D) -> tuple[np.ndarray, np.ndarray]:
     X = np.zeros((dens.u.shape[0], model.n))
     X[:, species] = dens.u
-    G = model.noise_amp_at(X)
     # one contiguous row per species, integrated as ``expectation`` does
-    integ = np.ascontiguousarray(
-        (model.drift_at(X) - 0.5 * np.diag(model.sigma) * G * G).T)
+    integ = np.ascontiguousarray(model.log_growth_at(X).T)
     rates = np.empty(model.n)
     cis = np.empty(model.n)
     for i, row in enumerate(integ):
@@ -579,7 +577,6 @@ def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
     cfg = replace(budget.face_sim, seed=_face_seed(budget.face_sim.seed, face))
     per_path = max(1, _BATCHES // cfg.n_paths)
     sel = np.array(face, dtype=int)
-    diag = np.diag(model.sigma)
 
     batch_rates = []
     batch_moments = []
@@ -601,9 +598,7 @@ def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
         Xf = Xf[:S]
         X = np.zeros((S, model.n))
         X[:, sel] = Xf
-        F = model.drift_at(X)
-        G = model.noise_amp_at(X)
-        integ = F - 0.5 * diag * G * G
+        integ = model.log_growth_at(X)
         for seg in np.split(np.arange(S), per_path):
             batch_rates.append(integ[seg].mean(axis=0))
             batch_moments.append(Xf[seg].mean(axis=0))

@@ -142,6 +142,7 @@ class KolmogorovModel:
     sigma: np.ndarray          # (n, n) noise covariance
     gamma_t: np.ndarray        # lower triangular, gamma_t @ gamma_t.T = sigma
     labels: tuple[int, ...]    # 1-based original species ids
+    _origin_rates: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -178,12 +179,21 @@ class KolmogorovModel:
             return out
         return self.noise.at(x)
 
+    def log_growth_at(self, x: np.ndarray) -> np.ndarray:
+        """f_i(x) - sigma_ii g_i(x)^2 / 2, the Ito-corrected per-capita growth
+        whose average over a measure is an invasion rate; x as in drift_at."""
+        f = self.drift_at(x)
+        g = self.noise_amp_at(x)
+        return f - 0.5 * np.diag(self.sigma) * g * g
+
     def growth_rate_origin(self) -> np.ndarray:
-        """f_i(0) - sigma_ii g_i(0)^2 / 2 for all i: invasion rates at the origin."""
-        zero = np.zeros(self.n)
-        f0 = self.drift_at(zero)
-        g0 = self.noise_amp_at(zero)
-        return f0 - 0.5 * np.diag(self.sigma) * g0 ** 2
+        """Invasion rates at the origin, log_growth_at(0), computed once; the
+        array is read-only."""
+        if self._origin_rates is None:
+            r0 = self.log_growth_at(np.zeros(self.n))
+            r0.flags.writeable = False
+            self._origin_rates = r0
+        return self._origin_rates
 
     # -- serialization ------------------------------------------------------
 

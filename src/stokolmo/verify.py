@@ -34,7 +34,7 @@ from .engine import (EXTINCT_LOG_THRESHOLD, EngineError, EnsembleStats,
 # by name and fails if the attribute is missing, so the name stays importable.
 from .engine import simulate_path  # noqa: F401
 from .measures import MeasureError, lv_face_equilibrium
-from .model import KolmogorovModel, LVDrift
+from .model import KolmogorovModel
 
 
 def tv_distance(h1: OccupationHistogram, h2: OccupationHistogram) -> float:
@@ -198,7 +198,7 @@ def detect_blowup_signature(model: KolmogorovModel, cfg: SimConfig | None = None
         x0 = np.ones(model.n)
     x0 = np.asarray(x0, dtype=float)
     w = np.ones(2)
-    if isinstance(model.drift, LVDrift):
+    if model.is_lv:
         b = -np.diag(model.drift.B)
         if np.all(b > 0.0):
             w = np.array([b[1], b[0]])
