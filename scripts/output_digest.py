@@ -19,6 +19,9 @@ verdict or report byte.  The set is:
   and the ``stokolmo foodchain`` reports of the bundled chains, and the
   ``classify`` reports of the benchmark's lattice_screen communities at
   seed 3 (``perfbench/workloads.py``);
+- the ``classify`` report of a 15-species community, over the face
+  budget, and the ``foodchain`` reports of a chain whose depth-2 system is
+  singular and of one whose apex invasion rate is zero;
 - the exit code and stderr of ``stokolmo`` on fixed bad inputs
   (``diagnostics/<name>``), with the wall-clock values of a ``timing``
   line taken out.  An exception that escapes the CLI is recorded by its
@@ -39,6 +42,8 @@ import re
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -76,7 +81,10 @@ BAD_ARGV = {
                                "--out", "/no/such/dir/run.json"],
     "t_steps_beyond_int64": ["simulate", LOGISTIC, "--t", "1e16"],
     "t_states_beyond_memory": ["simulate", LOGISTIC, "--t", "1e13"],
+    "verify_paths_beyond_memory": ["verify", LOGISTIC, "--t", "1", "--paths",
+                                   "1000000000000"],
 }
+OVERFLOW = "x1*1e308*10 - x1*1e308*10"
 # bad one-species expression models: (f, g, command and flags)
 BAD_MODELS = {
     "deep_parentheses": ("(" * 3000 + "1" + ")" * 3000, "1", ["classify"]),
@@ -84,10 +92,19 @@ BAD_MODELS = {
     "exp_exp_classify": ("16", "exp(exp(x1))", ["classify"]),
     "nan_state": ("x1*1e308*10 - x1*1e308*10 + 1 - x1", "1", ["simulate", "--t", "1"]),
     "minus_inf_state": ("1 - 1e200*x1*1e200", "1", ["simulate", "--x0", "2", "--t", "1"]),
+    "nonfinite_drift_check": (OVERFLOW + " + 1 - x1", "1", ["check"]),
+    "nonfinite_noise_check": ("1 - x1", "1 + " + OVERFLOW, ["check"]),
 }
 # a two-level chain with a10 left open
 CHAIN = (b'{"n": 2, "a10": %s, "death": [1.0], "prey_gain": [2.0], "loss": [1.0], '
          b'"intra": [1.0, 1.0], "sigma_diag": [1.0, 1.0]}')
+# three-level chains, (loss, intra, death): no second-level self-limitation
+# and no loss to the apex make the depth-2 system singular; an apex death of
+# 4/3 puts its invasion rate at zero
+CHAINS = {
+    "chain_singular_depth": ([0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0]),
+    "chain_borderline_rate": ([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 4.0 / 3.0]),
+}
 # documents the library cannot read or must refuse: (file bytes, command)
 BAD_FILES = {
     "model_not_utf8": (b'{"n": 1, "sigma": [[1.0]], "x": "\xe9"}', "classify"),
@@ -184,6 +201,22 @@ def main() -> int:
             path.write_text(json.dumps(doc))
             digests[f"classify/lattice3/{name}"] = cli_output(["classify", str(path)],
                                                               work / "out")
+        path = work / "community15.json"
+        rng = np.random.default_rng(0)
+        B = -rng.uniform(0.0, 0.1, (15, 15))
+        np.fill_diagonal(B, -1.0)
+        path.write_text(json.dumps({"n": 15, "lv": {"a": [1.0] * 15, "B": B.tolist(),
+                                                    "g": [1.0] * 15},
+                                    "sigma": np.eye(15).tolist()}))
+        digests["classify/face_budget15"] = cli_output(["classify", str(path)],
+                                                       work / "out")
+        for name, (loss, intra, death) in CHAINS.items():
+            path = work / f"{name}.json"
+            path.write_text(json.dumps({"n": 3, "a10": 4.0, "death": death,
+                                        "prey_gain": [2.0, 1.0], "loss": loss,
+                                        "intra": intra, "sigma_diag": [1.0] * 3}))
+            digests[f"foodchain/{name}"] = cli_output(["foodchain", str(path)],
+                                                      work / "out")
         for name, argv in BAD_ARGV.items():
             digests[f"diagnostics/{name}"] = diagnostic(argv)
         for name, (f, g, argv) in BAD_MODELS.items():

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConstantNoise, KolmogorovModel
+from .model import ConstantNoise, KolmogorovModel, ModelError
 
 
 @dataclass
@@ -62,12 +62,15 @@ _SAMPLE_RANDOM_POINTS = 100
 _SAMPLE_SEED = 2024
 
 
-def _sample_points(n: int) -> np.ndarray:
+def _per_axis(n: int) -> int:
     # grid including the faces (coordinates exactly 0) plus uniform fill;
     # at least 100 points total regardless of dimension
-    per_axis = max(2, int(np.ceil(100 ** (1.0 / n))))
-    per_axis = min(per_axis, 12)
-    axes = [np.linspace(0.0, _SAMPLE_RADIUS, per_axis) for _ in range(n)]
+    return min(max(2, int(np.ceil(100 ** (1.0 / n)))), 12)
+
+
+def _sample_points(n: int) -> np.ndarray:
+    """The grid, origin first, then the random fill."""
+    axes = [np.linspace(0.0, _SAMPLE_RADIUS, _per_axis(n)) for _ in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
     rng = np.random.Generator(np.random.Philox(key=np.array([_SAMPLE_SEED, 0], dtype=np.uint64)))
@@ -83,14 +86,18 @@ def check_nondegeneracy(model: KolmogorovModel) -> AssumptionCheck:
     boundary faces, where state-dependent amplitudes most often die) and
     random points, and report the worst eigenvalue with its witness.
     Constant amplitudes give the same matrix at every point, so only the
-    first point is decomposed; the report still counts every point.
+    first point, the origin, is decomposed and no grid is built; the report
+    still counts every point.
     """
-    pts = _sample_points(model.n)
+    n = model.n
     constant = isinstance(model.noise, ConstantNoise)
+    pts = np.zeros((1, n)) if constant else _sample_points(n)
+    count = _per_axis(n) ** n + _SAMPLE_RANDOM_POINTS
     worst = np.inf
     worst_x = None
-    for x in pts[:1] if constant else pts:
+    for x in pts:
         g = model.noise_amp_at(x)
+        _require_finite("nondegenerate-noise", x[None], g[None])
         A = np.outer(g, g) * model.sigma
         lam = float(np.linalg.eigvalsh(A)[0])
         if lam < worst:
@@ -110,12 +117,12 @@ def check_nondegeneracy(model: KolmogorovModel) -> AssumptionCheck:
         return AssumptionCheck(
             name="nondegenerate-noise", status="pass",
             detail=(f"constant noise amplitudes and positive definite covariance; "
-                    f"sampled minimum eigenvalue {worst:.6g} over {len(pts)} points"),
+                    f"sampled minimum eigenvalue {worst:.6g} over {count} points"),
         )
     return AssumptionCheck(
         name="nondegenerate-noise", status="heuristic-pass",
         detail=(f"state-dependent amplitudes: sampled minimum eigenvalue "
-                f"{worst:.6g} over {len(pts)} points in [0, {_SAMPLE_RADIUS}]^n"),
+                f"{worst:.6g} over {count} points in [0, {_SAMPLE_RADIUS}]^n"),
     )
 
 
@@ -130,10 +137,21 @@ _BRACKET_PASSED = "negative and improving with radius"
 _BRACKET_FAILED = "fails to certify boundedness"
 
 
-def _on_spheres(model: KolmogorovModel, seed: int, stream: int, tilted: bool):
+def _require_finite(check: str, pts: np.ndarray, *values: np.ndarray):
+    """Refuse drift or noise values, one row per sample point, that are not
+    all finite, naming the check and the first such point."""
+    ok = np.all([np.isfinite(v).all(axis=1) for v in values], axis=0)
+    if not ok.all():
+        raise ModelError(f"{check}: drift or noise is not finite at the sample "
+                         f"point {[float(v) for v in pts[np.argmin(ok)]]}")
+
+
+def _on_spheres(model: KolmogorovModel, check: str, seed: int, stream: int,
+                tilted: bool):
     """Yield (radius, points, f, g) on growing spheres: the n half-axes (each
     followed, when ``tilted`` and n > 1, by its ray tilted 0.05 toward the
-    others), then 50 random rays from the Philox key (seed, stream)."""
+    others), then 50 random rays from the Philox key (seed, stream).  A
+    non-finite f or g is a model error of ``check``."""
     n = model.n
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, stream], dtype=np.uint64)))
@@ -152,7 +170,9 @@ def _on_spheres(model: KolmogorovModel, seed: int, stream: int, tilted: bool):
     dirs = np.array(dirs)
     for r in _RADII:
         pts = dirs * r
-        yield r, pts, model.drift_at(pts), model.noise_amp_at(pts)
+        f, g = model.drift_at(pts), model.noise_amp_at(pts)
+        _require_finite(check, pts, f, g)
+        yield r, pts, f, g
 
 
 def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray) -> tuple[bool, list]:
@@ -169,7 +189,7 @@ def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray) -> tuple[bool,
     sig = model.sigma
     table = []
     worst_by_radius = []
-    for r, pts, f, g in _on_spheres(model, _BRACKET_SEED, 1, tilted=True):
+    for r, pts, f, g in _on_spheres(model, "tightness", _BRACKET_SEED, 1, tilted=True):
         cx = pts @ c
         lin = (pts * f) @ c / (1.0 + cx)
         quad = np.einsum("pi,ij,pj->p", pts * g * c, sig, pts * g) / (1.0 + cx) ** 2
@@ -306,7 +326,7 @@ def check_growth_condition(model: KolmogorovModel) -> AssumptionCheck:
         )
     worst = []
     table = []
-    for r, _pts, f, g in _on_spheres(model, _GROWTH_SEED, 2, tilted=False):
+    for r, _pts, f, g in _on_spheres(model, "growth-bound", _GROWTH_SEED, 2, tilted=False):
         num = r ** _DELTA1 * np.sum(g * g, axis=1)
         den = 1.0 + np.sum(np.abs(f) + g * g, axis=1)
         w = float(np.max(num / den))

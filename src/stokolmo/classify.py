@@ -38,7 +38,7 @@ import numpy as np
 
 from .assumptions import AssumptionReport, run_assumption_checks
 from .measures import (_DECISION_TOL, AnalysisBudget, BoundaryDiscovery,
-                       ErgodicMeasure, InvasionRateTable, _face_label,
+                       ErgodicMeasure, InvasionRateTable, MeasureError, _face_label,
                        discover_boundary, maximin_decision)
 from .model import KolmogorovModel
 from .simplex import solve_maximin
@@ -312,7 +312,11 @@ def classify(model: KolmogorovModel,
                     + assumptions.tightness.detail),
             suggestion="no blow-up certificate either; inspect the model drift"))
 
-    discovery = discover_boundary(model, budget)
+    try:
+        discovery = discover_boundary(model, budget)
+    except MeasureError as exc:     # the face lattice is over its budget
+        return refuse(PersistenceRefusal(
+            reason=str(exc), suggestion="classify a community of fewer species"))
     if discovery.unresolved:
         face, reason = discovery.unresolved[0]
         return refuse(PersistenceRefusal(

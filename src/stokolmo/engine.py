@@ -509,33 +509,36 @@ def simulate_ensemble(model: KolmogorovModel, x0, cfg: SimConfig,
     """
     x0 = _check_x0(model, x0)
     y0 = np.log(x0)
-    blocks = _blocks(cfg.n_paths, model.n)
-    outs = [_run_block(model, y0, cfg, r, min(max(keep - r.start, 0), len(r)))
-            for r in blocks]
-    paths = [_trajectory(o, p, r[p], cfg)
-             for o, r in zip(outs, blocks) for p in range(o.states.shape[0])]
-
-    y_end = np.vstack([o.y_end for o in outs])
-    t_end = np.concatenate([o.t_end for o in outs])
-    y_burn = np.vstack([o.y_burn for o in outs])
-    blow_time = np.concatenate([o.blow_time for o in outs])
-    extinct_time = np.vstack([o.extinct_time for o in outs])
-    sum_x = np.vstack([o.sum_x for o in outs])
-    stats_steps = np.concatenate([o.stats_steps for o in outs])
+    P, n = cfg.n_paths, model.n
+    # every per-path output exists before the blocks are made; each block
+    # writes its own rows
+    try:
+        y_end, y_burn, extinct_time, sum_x, exponents, path_mean = (
+            np.empty((P, n)) for _ in range(6))
+        t_end, blow_time = np.empty(P), np.empty(P)
+        stats_steps = np.empty(P, dtype=np.int64)
+    except MemoryError:
+        raise EngineError(f"cannot store {P} paths of {n} species") from None
+    hist_counts = np.zeros((_N_WINDOWS, n, _GRID_BINS + 2))
     errors: dict[int, str] = {}
-    for o in outs:
-        errors.update(o.errors)
-
-    hist_counts = outs[0].hist_counts.copy()
-    for o in outs[1:]:
+    paths = []
+    for r in _blocks(P, n):
+        o = _run_block(model, y0, cfg, r, min(max(keep - r.start, 0), len(r)))
+        rows = slice(r.start, r.stop)
+        y_end[rows], t_end[rows], y_burn[rows] = o.y_end, o.t_end, o.y_burn
+        blow_time[rows], extinct_time[rows] = o.blow_time, o.extinct_time
+        sum_x[rows], stats_steps[rows] = o.sum_x, o.stats_steps
         hist_counts += o.hist_counts
+        errors.update(o.errors)
+        paths += [_trajectory(o, p, r[p], cfg) for p in range(o.states.shape[0])]
 
     denom = np.maximum(t_end - cfg.burn_in, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        exponents = np.where(denom[:, None] > 0.0,
-                             (y_end - y_burn) / denom[:, None], np.nan)
-        path_mean = np.where(stats_steps[:, None] > 0,
-                             sum_x / np.maximum(stats_steps, 1)[:, None], np.nan)
+        np.subtract(y_end, y_burn, out=exponents)
+        exponents /= denom[:, None]
+        exponents[denom <= 0.0] = np.nan
+        np.divide(sum_x, np.maximum(stats_steps, 1)[:, None], out=path_mean)
+        path_mean[stats_steps == 0] = np.nan
 
     total_steps = int(stats_steps.sum())
     if total_steps > 0:

@@ -56,6 +56,7 @@ from .simplex import maximin_bounds, solve_maximin
 _MASK64 = (1 << 64) - 1
 _BATCHES = 20             # batch means behind a Monte Carlo face measure
 _DECISION_TOL = 1e-9      # a maximin margin within this of zero is an exact zero
+FACE_BUDGET = 2 ** 14 - 2  # proper faces discovery visits: 14 species at most
 
 # two-sided 97.5% Student t quantiles for batch-mean intervals
 _T975 = {
@@ -68,7 +69,7 @@ _T975 = {
 
 def t_quantile_975(df: int) -> float:
     if df < 1:
-        raise ValueError("need at least one degree of freedom")
+        raise MeasureError("need at least one degree of freedom")
     return _T975.get(df, 1.96 + 2.52 / df)
 
 
@@ -669,9 +670,13 @@ def discover_boundary(model: KolmogorovModel,
     persistence test against the measures on its own boundary; a face
     where that test is too close to call (or whose representation cannot
     be built) is reported unresolved, and so is every face above it.
+    A lattice of more than ``FACE_BUDGET`` proper faces is refused.
     """
     budget = budget or AnalysisBudget()
     n = model.n
+    if 2 ** n - 2 > FACE_BUDGET:
+        raise MeasureError(f"{n} species have {2 ** n - 2} boundary faces, over the "
+                           f"face budget of {FACE_BUDGET}")
     origin = ErgodicMeasure(
         support=(), kind="dirac-origin", provenance="analytic",
         moments=np.zeros(n))

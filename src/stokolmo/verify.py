@@ -33,14 +33,19 @@ from .engine import (EXTINCT_LOG_THRESHOLD, EngineError, EnsembleStats,
 # Not called here any more.  perfbench/tracing.py wraps verify.simulate_path
 # by name and fails if the attribute is missing, so the name stays importable.
 from .engine import simulate_path  # noqa: F401
+from .errors import StokolmoError
 from .measures import MeasureError, lv_face_equilibrium
 from .model import KolmogorovModel
+
+
+class VerifyError(StokolmoError):
+    """A verification asked of something it is not defined for."""
 
 
 def tv_distance(h1: OccupationHistogram, h2: OccupationHistogram) -> float:
     """Largest per-species total-variation distance between two histograms."""
     if not h1.same_grid(h2) or h1.masses.shape != h2.masses.shape:
-        raise ValueError("histograms live on different grids")
+        raise VerifyError("histograms live on different grids")
     return float(np.max(0.5 * np.sum(np.abs(h1.masses - h2.masses), axis=1)))
 
 
@@ -192,7 +197,7 @@ def detect_blowup_signature(model: KolmogorovModel, cfg: SimConfig | None = None
     uncertainty is the blow-up signature.
     """
     if model.n != 2:
-        raise ValueError("the blow-up signature is defined for two species")
+        raise VerifyError("the blow-up signature is defined for two species")
     cfg = cfg or SimConfig()
     if x0 is None:
         x0 = np.ones(model.n)
@@ -374,7 +379,7 @@ def verify_verdict(model: KolmogorovModel, verdict: Verdict,
                    x0: np.ndarray | None = None) -> EnsembleReport:
     """Simulate and grade the verdict's claims; returns the evidence report."""
     if verdict.kind == "Inconclusive":
-        raise ValueError("an Inconclusive verdict makes no claim to verify")
+        raise VerifyError("an Inconclusive verdict makes no claim to verify")
     cfg = cfg or SimConfig()
     if x0 is None:
         x0 = np.ones(model.n)

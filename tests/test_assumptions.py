@@ -54,6 +54,16 @@ def test_vanishing_amplitude_fails_with_witness():
     assert len(chk.witness["point"]) == 1
 
 
+def test_constant_noise_builds_no_grid(monkeypatch):
+    def no_grid(n):
+        raise AssertionError("the sample grid was built")
+
+    monkeypatch.setattr(assumptions, "_sample_points", no_grid)
+    chk = check_nondegeneracy(general(["1 - x1", "1 - x2"], ["0", "1"]))
+    # the witness is the grid's first point, the origin
+    assert chk.status == "fail" and chk.witness["point"] == [0.0, 0.0]
+
+
 def test_state_dependent_but_bounded_below():
     chk = check_nondegeneracy(general(["1 - x1"], ["1 + 0.1*x1"]))
     assert chk.status == "heuristic-pass"

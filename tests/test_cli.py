@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -234,6 +235,70 @@ def test_unstorable_trajectory_is_json_and_exit_2(capsys):
     assert diag["message"].startswith("cannot store 1 paths of")
 
 
+def test_unstorable_path_count_is_json_and_exit_2(capsys):
+    # 10^12 paths of 8-byte outputs: the first allocation fails at once,
+    # before any block of paths is made
+    code, out, err = run(capsys, "verify", model_path("logistic"), "--t", "1",
+                         "--paths", "1000000000000")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "EngineError", "message": "cannot store 1000000000000 paths of 1 species"}
+
+
+# a drift or a noise amplitude that overflows to nan at the sampled points
+OVERFLOW = "x1*1e308*10 - x1*1e308*10"
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+@pytest.mark.parametrize("f,g,message", [
+    (OVERFLOW + " + 1 - x1", "1", "tightness: drift or noise is not finite at the "
+     "sample point [10.0]"),
+    ("1 - x1", "1 + " + OVERFLOW, "nondegenerate-noise: drift or noise is not finite "
+     "at the sample point [0.9090909090909091]"),
+], ids=["drift", "noise"])
+def test_non_finite_samples_are_json_and_exit_2(capsys, tmp_path, command, f, g, message):
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps({"n": 1, "general": {"f": [f], "g": [g]}, "sigma": [[1]]}))
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ModelError", "message": message}
+
+
+def lv_community_file(tmp_path, n):
+    rng = np.random.default_rng(0)
+    B = -rng.uniform(0.0, 0.1, (n, n))
+    np.fill_diagonal(B, -1.0)
+    p = tmp_path / f"lv{n}.json"
+    p.write_text(json.dumps({"n": n, "lv": {"a": [1.0] * n, "B": B.tolist(),
+                                            "g": [1.0] * n},
+                             "sigma": np.eye(n).tolist()}))
+    return str(p)
+
+
+def test_classify_refuses_a_face_lattice_over_budget_at_once(capsys, tmp_path):
+    path = lv_community_file(tmp_path, 15)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    refusal = json.loads(out)["refusal"]
+    assert refusal["reason"] == ("15 species have 32766 boundary faces, over the "
+                                 "face budget of 16382")
+
+
+def test_check_of_many_constant_noise_species_builds_no_grid(capsys, tmp_path):
+    # 2^24 grid points are counted, not built
+    code, out, err = run(capsys, "check", lv_community_file(tmp_path, 24))
+    assert code == 0
+    nondegenerate = json.loads(out)["assumptions"]["nondegenerate"]
+    assert nondegenerate["status"] == "pass"
+    assert "over 16777316 points" in nondegenerate["detail"]
+
+
 @pytest.mark.parametrize("f", [
     "(" * 3000 + "1" + ")" * 3000,
     "2 - " + "-" * 4999 + "x1",
@@ -297,7 +362,7 @@ def test_every_library_error_is_a_stokolmo_error():
     assert {cls.__name__ for cls in errors} == {
         "CLIError", "StokolmoError", "ModelError", "ExpressionError",
         "ExpressionSyntaxError", "ExpressionDomainError", "MeasureError",
-        "DensityError", "FoodChainError", "SimplexError", "EngineError"}
+        "DensityError", "FoodChainError", "SimplexError", "EngineError", "VerifyError"}
     for cls in errors - {CLIError}:
         assert issubclass(cls, StokolmoError), cls
     assert issubclass(StokolmoError, ValueError)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokolmo.classify import classify
-from stokolmo.foodchain import (FoodChainError, FoodChainParams,
+from stokolmo.foodchain import (FoodChainError, FoodChainParams, FoodChainVerdict,
                                 chain_matrix, classify_food_chain,
                                 foodchain_to_model, parse_food_chain)
 
@@ -79,6 +79,116 @@ def test_chain_matrix_structure():
                            [2.0, -1.0, -1.0],
                            [0.0, 1.0, -1.0]])
     assert np.allclose(b, [-3.5, 1.5, 1.5])
+
+
+# -- the face solve keeps the hand-built tridiagonal classification -------------
+
+def reference_chain_matrix(params, depth):
+    """The tridiagonal system as it was built by hand from the coefficients."""
+    T = np.zeros((depth, depth))
+    b = np.empty(depth)
+    at = params.a_tilde()
+    T[0, 0] = -params.intra[0]
+    if depth > 1:
+        T[0, 1] = -params.loss[0]
+    b[0] = -at[0]
+    for i in range(1, depth):
+        T[i, i - 1] = params.prey_gain[i - 1]
+        T[i, i] = -params.intra[i]
+        if i + 1 < depth:
+            T[i, i + 1] = -params.loss[i]
+        b[i] = at[i]
+    return T, b
+
+
+def reference_classify(params):
+    """The classification with its own solves and rate formulas, kept as the
+    reference the model's face solve and invasion rates must reproduce."""
+    n = params.n
+    at = params.a_tilde()
+    rates = [float(at[0])]
+    equilibria = []
+    worst = 0.0
+
+    def refuse(depth, reason):
+        return FoodChainVerdict("Inconclusive", depth, at, rates, equilibria,
+                                np.zeros(0), worst, reason)
+
+    if abs(at[0]) <= 1e-9:
+        return refuse(0, "collapse")
+    j_star = 0
+    if at[0] > 0.0:
+        j_star = 1
+        for j in range(1, n + 1):
+            T, b = reference_chain_matrix(params, j)
+            try:
+                x = np.linalg.solve(T, b)
+            except np.linalg.LinAlgError:
+                return refuse(min(j_star, n - 1), "singular")
+            res = float(np.max(np.abs(T @ x - b)))
+            scale = max(1.0, float(np.max(np.abs(T))), float(np.max(np.abs(b))))
+            worst = max(worst, res)
+            if res > 1e-10 * scale or np.any(x <= 0.0):
+                return refuse(min(j_star, n - 1), "ill-conditioned or not positive")
+            equilibria.append(x)
+            if j == n:
+                break
+            inv = float(-at[j] + params.prey_gain[j - 1] * x[j - 1])
+            rates.append(inv)
+            if abs(inv) <= 1e-9:
+                return refuse(j_star, "borderline")
+            if inv < 0.0:
+                break
+            j_star = j + 1
+    if j_star == n:
+        return FoodChainVerdict("Persistent", n, at, rates, equilibria, np.zeros(0), worst)
+    xbar = np.zeros(n)
+    if j_star >= 1:
+        xbar[:j_star] = equilibria[j_star - 1]
+    ext = np.array([at[k] if k == 0 else -at[k] + params.prey_gain[k - 1] * xbar[k - 1]
+                    for k in range(j_star, n)])
+    return FoodChainVerdict("Extinction", j_star, at, rates, equilibria, ext, worst)
+
+
+def random_chains(count, seed):
+    """Chains of 2-8 levels, a fifth of the couplings zero (so some depth
+    systems are singular), unit or random noise variances."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+
+        def coupling(k, hi):
+            v = rng.uniform(0.0, hi, k)
+            v[rng.random(k) < 0.2] = 0.0
+            return v
+        intra = coupling(n, 2.0)
+        intra[0] = rng.uniform(0.1, 2.0)
+        sigma = np.ones(n) if rng.random() < 0.5 else rng.uniform(0.05, 3.0, n)
+        yield FoodChainParams(
+            n=n, a10=float(rng.uniform(-1.0, 8.0)), death=coupling(n - 1, 2.0),
+            prey_gain=coupling(n - 1, 4.0), loss=coupling(n - 1, 2.0), intra=intra,
+            sigma_diag=sigma)
+
+
+def test_face_solve_reproduces_the_tridiagonal_classification_bit_for_bit():
+    kinds = set()
+    for params in random_chains(300, seed=7):
+        for depth in range(1, params.n + 1):
+            got, ref = chain_matrix(params, depth), reference_chain_matrix(params, depth)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+        got = classify_food_chain(params).to_json_dict()
+        ref = reference_classify(params).to_json_dict()
+        kinds.add(ref["verdict"])
+        if ref.get("reason") in ("singular", "ill-conditioned or not positive"):
+            # a refused depth solve words its reason, and keeps its residual
+            # out of the worst one, as the face solve does
+            assert "equilibrium: face {" in got.pop("reason")
+            del ref["reason"], got["solve_residual"], ref["solve_residual"]
+        elif ref["verdict"] == "Inconclusive":
+            del got["reason"], ref["reason"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
+    assert kinds == {"Persistent", "Extinction", "Inconclusive"}
 
 
 def test_verdict_document_round_trips():

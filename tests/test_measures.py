@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import stokolmo.measures as measures_mod
 from stokolmo.engine import EngineError, SimConfig, simulate_path
-from stokolmo.measures import (_BATCHES, AnalysisBudget, DensityError, ErgodicMeasure,
+from stokolmo.measures import (_BATCHES, FACE_BUDGET, AnalysisBudget, DensityError,
+                               ErgodicMeasure,
                                InvasionRateTable, MeasureError, _bound_decision,
                                _empirical_measure, _face_seed, discover_boundary,
                                find_boundary_measures,
@@ -494,7 +495,7 @@ def test_t_quantile_table():
     assert t_quantile_975(1) == 12.706
     assert t_quantile_975(20) == 2.086
     assert 1.96 < t_quantile_975(100) < 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(MeasureError):
         t_quantile_975(0)
 
 
@@ -524,3 +525,19 @@ def test_density_rates_keep_every_bit_of_per_species_expectations(bundled, name)
         assert rates[i].tobytes() == np.float64(dens.expectation(integrand)).tobytes()
         assert cis[i].tobytes() == np.float64(
             dens.quad_ci * max(1.0, abs(scale))).tobytes()
+
+
+def test_face_lattice_over_the_budget_is_refused():
+    assert 2 ** 14 - 2 == FACE_BUDGET
+    with pytest.raises(MeasureError, match="15 species have 32766 boundary faces, "
+                                           "over the face budget of 16382"):
+        discover_boundary(lv_community("competitive", 15, seed=0))
+
+
+def test_lv_rates_are_the_affine_growth_at_the_moments(bundled):
+    model = bundled["two_pred_one_prey"]
+    m, _ = lv_face_equilibrium(model, (0, 1))
+    assert np.array_equal(measures_mod._lv_rates(model, m),
+                          model.growth_rate_origin() + model.drift.B @ m)
+    assert np.allclose(model.log_growth_at(m), measures_mod._lv_rates(model, m),
+                       atol=1e-12)

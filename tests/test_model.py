@@ -102,6 +102,37 @@ def test_growth_rate_origin_is_ito_corrected():
     assert np.allclose(m.growth_rate_origin(), [2.5, 2.5])
 
 
+def test_log_growth_is_drift_less_half_the_noise_variance():
+    lv = parse({**LV2, "lv": {**LV2["lv"], "g": [0.5, 2.0]},
+                "sigma": [[1.5, 0.2], [0.2, 3.0]]})
+    expr = parse({"n": 2, "general": {"f": ["1 - x1*x2", "exp(-x1) - x2"],
+                                      "g": ["1 + x2", "0.5*x1"]},
+                  "sigma": [[2.0, 0.5], [0.5, 1.0]]})
+    x = np.array([[0.3, 1.7], [2.0, 0.0], [0.0, 0.0]])
+    for m in (lv, expr):
+        f, g = m.drift_at(x), m.noise_amp_at(x)
+        got = m.log_growth_at(x)
+        for i in range(2):
+            # species by species, f_i - sigma_ii g_i^2 / 2
+            assert np.allclose(got[:, i], f[:, i] - m.sigma[i, i] * g[:, i] ** 2 / 2,
+                               rtol=1e-15, atol=0.0)
+        assert np.array_equal(m.log_growth_at(x[1]), got[1])
+    assert np.array_equal(lv.growth_rate_origin(), lv.log_growth_at(np.zeros(2)))
+
+
+def test_growth_rate_origin_evaluates_the_drift_once(monkeypatch):
+    m = parse(LV2)
+    calls = []
+    orig = type(m).drift_at
+    monkeypatch.setattr(type(m), "drift_at", lambda self, x: calls.append(1) or orig(self, x))
+    first = m.growth_rate_origin()
+    assert m.growth_rate_origin() is first and len(calls) == 1
+    assert not first.flags.writeable
+    # another model has its own rates
+    parse(LV2).growth_rate_origin()
+    assert len(calls) == 2
+
+
 def test_json_round_trip():
     m = parse(LV2)
     again = parse(m.to_json_dict())

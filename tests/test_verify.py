@@ -4,7 +4,7 @@ import pytest
 from stokolmo import engine, verify
 from stokolmo.engine import (EngineError, EnsembleStats, OccupationHistogram,
                              SimConfig, simulate_ensemble, simulate_path)
-from stokolmo.verify import (_binomial_ci, classify_paths,
+from stokolmo.verify import (VerifyError, _binomial_ci, classify_paths,
                              detect_blowup_signature,
                              estimate_basin_probabilities, tv_distance,
                              verify_verdict)
@@ -52,7 +52,7 @@ def test_tv_symmetric_and_bounded():
 def test_tv_rejects_grid_mismatch():
     a = hist([[0.0, 0.5, 0.5, 0.0, 0.0]])
     b = hist([[0.0, 0.5, 0.5, 0.0, 0.0]], hi=3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(VerifyError):
         tv_distance(a, b)
 
 
@@ -135,7 +135,7 @@ def test_basin_estimates_sum_and_flag(bundled, verdict_of):
 # -- full verification reports ----------------------------------------------------
 
 def test_verify_refuses_inconclusive(bundled, verdict_of):
-    with pytest.raises(ValueError):
+    with pytest.raises(VerifyError):
         verify_verdict(bundled["linear1d"], verdict_of("linear1d"))
 
 
@@ -224,5 +224,5 @@ def test_blowup_probes_ride_in_the_one_ensemble_pass(bundled, monkeypatch):
 
 
 def test_blowup_signature_needs_two_species(bundled):
-    with pytest.raises(ValueError):
+    with pytest.raises(VerifyError):
         detect_blowup_signature(bundled["two_pred_one_prey"])
