@@ -124,10 +124,14 @@ def sha256(data: bytes) -> str:
 
 
 def cli_output(argv: list[str], out: pathlib.Path) -> dict:
-    """Run ``stokolmo <argv> --out <out>``; digest the file, or stderr without one."""
+    """Run ``stokolmo <argv> --out <out>``; digest the file, or stderr without
+    one, or the exception that escapes."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = stokolmo.cli.main(argv + ["--out", str(out)])
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = stokolmo.cli.main(argv + ["--out", str(out)])
+    except Exception as exc:   # a traceback is an output too
+        return {"rc": type(exc).__name__, "sha256": sha256(str(exc).encode())}
     if out.exists():
         data = out.read_bytes()
         out.unlink()

@@ -175,41 +175,31 @@ def _on_spheres(model: KolmogorovModel, check: str, seed: int, stream: int,
         yield r, pts, f, g
 
 
-def _sampled_dissipativity(model: KolmogorovModel, c: np.ndarray) -> tuple[bool, list]:
-    """Probe the Lyapunov bracket with weight vector c on growing spheres.
+def _sampled_tightness(model: KolmogorovModel, lead: str, passed: str,
+                       failed: str) -> AssumptionCheck:
+    """The Lyapunov bracket with unit weights c, probed on growing spheres,
+    as a tightness verdict: ``lead`` followed by ``passed`` or ``failed``.
 
     The bracket is  sum_i c_i x_i f_i / (1 + c.x)
                     - (1/2) sum_ij sigma_ij c_i c_j x_i x_j g_i g_j / (1 + c.x)^2
                     + _GAMMA_B (1 + sum_i (|f_i| + g_i^2)),
     which must be negative for large ||x||.  Directions: the 2n half-axes
-    and tilted axes plus 50 random rays; radii 10^1..10^4.  Returns (ok,
-    table) where ok means the worst value improves monotonically with
-    radius and is negative at the largest one.
+    and tilted axes plus 50 random rays; radii 10^1..10^4.  It passes when
+    the worst value improves monotonically with radius and is negative at
+    the largest one.
     """
-    sig = model.sigma
+    c = np.ones(model.n)
     table = []
-    worst_by_radius = []
+    worst = []
     for r, pts, f, g in _on_spheres(model, "tightness", _BRACKET_SEED, 1, tilted=True):
         cx = pts @ c
         lin = (pts * f) @ c / (1.0 + cx)
-        quad = np.einsum("pi,ij,pj->p", pts * g * c, sig, pts * g) / (1.0 + cx) ** 2
+        quad = np.einsum("pi,ij,pj->p", pts * g * c, model.sigma, pts * g) / (1.0 + cx) ** 2
         pen = _GAMMA_B * (1.0 + np.sum(np.abs(f) + g * g, axis=1))
-        vals = lin - 0.5 * quad + pen
-        worst = float(np.max(vals))
-        worst_by_radius.append(worst)
-        table.append({"radius": r, "worst_bracket": worst})
-    ok = worst_by_radius[-1] < 0.0 and all(
-        worst_by_radius[k + 1] <= worst_by_radius[k] + 1e-9
-        for k in range(len(worst_by_radius) - 1)
-    )
-    return ok, table
-
-
-def _sampled_tightness(model: KolmogorovModel, lead: str, passed: str,
-                       failed: str) -> AssumptionCheck:
-    """The sampled bracket with unit weights as a tightness verdict: ``lead``
-    followed by ``passed`` or ``failed``."""
-    ok, table = _sampled_dissipativity(model, np.ones(model.n))
+        worst.append(float(np.max(lin - 0.5 * quad + pen)))
+        table.append({"radius": r, "worst_bracket": worst[-1]})
+    ok = worst[-1] < 0.0 and all(worst[k + 1] <= worst[k] + 1e-9
+                                 for k in range(len(worst) - 1))
     return AssumptionCheck(
         name="tightness",
         status="heuristic-pass" if ok else "heuristic-fail",

@@ -216,11 +216,6 @@ def check_persistence(table: InvasionRateTable) -> PersistenceCertificate | Pers
 # ---------------------------------------------------------------------------
 # extinction partition
 
-def _undecidable_reason(table: InvasionRateTable, k: int, i: int) -> str:
-    return (f"invasion rate of species {i + 1} against {table.measures[k].key} "
-            "is not sign-decidable at this budget")
-
-
 def check_extinction_measure(table: InvasionRateTable, k: int) -> tuple[str, str]:
     """('sink'|'other'|'undecided', reason) for measure k of the table.
 
@@ -231,7 +226,8 @@ def check_extinction_measure(table: InvasionRateTable, k: int) -> tuple[str, str
     mu = table.measures[k]
     unknown = table.lp_view([k])[2]
     if unknown is not None:
-        return "undecided", _undecidable_reason(table, *unknown)
+        return "undecided", (f"invasion rate of species {unknown[1] + 1} against {mu.key} "
+                             "is not sign-decidable at this budget")
     worst = table.rates[k, ~table.on_support[k]].max(initial=-np.inf)
     if worst >= 0.0:
         return "other", (

@@ -10,7 +10,10 @@ interior, and each measure mu is summarized by the invasion rates
 the average per-capita growth rate of species i when the rest of the
 community is distributed according to mu.  For a species inside mu's
 support this integral vanishes; off the support its sign says whether
-species i invades or dies against that community.
+species i invades or dies against that community.  The integrand is
+``KolmogorovModel.log_growth_at``; on a Lotka-Volterra face it is affine,
+so the rates are its value at the equilibrium :func:`lv_face_equilibrium`
+solves, for the lattice and the food chain alike.
 
 Measures are found bottom-up over the face lattice.  The point mass at
 the origin always exists.  A face acquires an interior measure exactly
@@ -364,11 +367,6 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
     # weak-form self test: the generator must integrate to zero against
     # smooth test functions; this exercises psi, the normalization and the
     # grid all at once, with the drift and noise of the last grid
-
-    def gen_apply(phi1, phi2):
-        # L phi = u f phi' + (sigma/2) u^2 g^2 phi''
-        return u * fu * phi1 + 0.5 * sigma * u * u * g2u * phi2
-
     tests = [
         (u, np.ones_like(u), np.zeros_like(u)),
         (u * u, 2.0 * u, np.full_like(u, 2.0)),
@@ -376,7 +374,7 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
     ]
     worst = 0.0
     for _phi, d1, d2 in tests:
-        vals = gen_apply(d1, d2)
+        vals = u * fu * d1 + 0.5 * sigma * u * u * g2u * d2   # L phi
         num = abs(float(np.dot(mass_weights, vals)))
         scale = float(np.dot(mass_weights, np.abs(vals)))
         worst = max(worst, num / max(scale, 1e-300))

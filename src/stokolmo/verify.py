@@ -238,10 +238,6 @@ def detect_blowup_signature(model: KolmogorovModel, cfg: SimConfig | None = None
 # ---------------------------------------------------------------------------
 # per-verdict evidence
 
-def _passed(checks: list[CheckResult]) -> str:
-    return "FAILED" if any(c.status == "FAILED" for c in checks) else "PASSED"
-
-
 def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list, list, dict]:
     checks = []
     frac_blow = float(np.mean(np.isfinite(stats.blowup_time)))
@@ -407,7 +403,7 @@ def verify_verdict(model: KolmogorovModel, verdict: Verdict,
     mean, se = stats.exponent_summary()
     return EnsembleReport(
         verdict_kind=verdict.kind,
-        status=_passed(checks),
+        status="FAILED" if any(c.status == "FAILED" for c in checks) else "PASSED",
         x0=[float(v) for v in x0],
         n_paths=stats.n_paths,
         seed=cfg.seed,

@@ -532,12 +532,3 @@ def test_face_lattice_over_the_budget_is_refused():
     with pytest.raises(MeasureError, match="15 species have 32766 boundary faces, "
                                            "over the face budget of 16382"):
         discover_boundary(lv_community("competitive", 15, seed=0))
-
-
-def test_lv_rates_are_the_affine_growth_at_the_moments(bundled):
-    model = bundled["two_pred_one_prey"]
-    m, _ = lv_face_equilibrium(model, (0, 1))
-    assert np.array_equal(measures_mod._lv_rates(model, m),
-                          model.growth_rate_origin() + model.drift.B @ m)
-    assert np.allclose(model.log_growth_at(m), measures_mod._lv_rates(model, m),
-                       atol=1e-12)
