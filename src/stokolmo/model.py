@@ -142,7 +142,8 @@ class KolmogorovModel:
     sigma: np.ndarray          # (n, n) noise covariance
     gamma_t: np.ndarray        # lower triangular, gamma_t @ gamma_t.T = sigma
     labels: tuple[int, ...]    # 1-based original species ids
-    _origin_rates: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _origin_rates: np.ndarray | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -184,7 +185,11 @@ class KolmogorovModel:
         whose average over a measure is an invasion rate; x as in drift_at."""
         f = self.drift_at(x)
         g = self.noise_amp_at(x)
-        return f - 0.5 * np.diag(self.sigma) * g * g
+        # in place on the fresh drift array: no third array of x's size
+        ito = 0.5 * np.diag(self.sigma) * g
+        ito *= g
+        f -= ito
+        return f
 
     def growth_rate_origin(self) -> np.ndarray:
         """Invasion rates at the origin, log_growth_at(0), computed once; the
