@@ -156,7 +156,7 @@ def classify_food_chain(params: FoodChainParams) -> FoodChainVerdict:
         for j in range(1, n + 1):
             try:
                 x, res = lv_face_equilibrium(model, range(j))
-            except MeasureError as exc:
+            except MeasureError as exc:     # a refused interior keeps j* = n - 1
                 return refuse(min(j_star, n - 1), f"depth-{j} equilibrium: {exc}")
             worst_residual = max(worst_residual, res)
             equilibria.append(x[:j])
