@@ -39,8 +39,8 @@ on every table or model back to back, in alternating order.  An LP shape
 also gets that solver's median and the median over its tables of the
 per-table time ratio; a classify or engine model gets the other time, the
 median over rounds of the time ratio (this checkout over the other) and
-whether both gave the same verdict document or terminal states bit for
-bit.
+whether both gave the same verdict document, or the same bits in every
+array of the ensemble statistics and the same path errors.
 """
 
 import argparse
@@ -332,6 +332,22 @@ def classify_section(against) -> dict:
     return {"seeds": list(SEEDS), "rounds": CLASSIFY_ROUNDS, "totals": totals, "models": out}
 
 
+def ensemble_arrays(stats) -> list:
+    """Every array of an ``EnsembleStats``, in a fixed order."""
+    return [stats.y_end, stats.t_end, stats.y_burn, stats.blowup_time,
+            stats.extinct_time, stats.exponents, stats.histogram.masses,
+            *(w.masses for w in stats.window_histograms),
+            stats.mean_state, stats.path_mean_state]
+
+
+def same_bits(a, b) -> bool:
+    """Whether two ensembles hold the same bits in every array and the same
+    path errors."""
+    xs, ys = ensemble_arrays(a), ensemble_arrays(b)
+    return (len(xs) == len(ys) and a.path_errors == b.path_errors
+            and all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys)))
+
+
 def engine_section(against) -> dict:
     """Median Mpath-steps/s of ``simulate_ensemble`` per model; every round
     runs each model once per package, in alternating order."""
@@ -367,8 +383,7 @@ def engine_section(against) -> dict:
             row["against_median_s"] = round(med[1], 4)
             row["against_msteps_per_s"] = round(steps / med[1] * 1e-6, 3)
             row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
-            row["bit_identical"] = bool(np.array_equal(stats.y_end, other.y_end)
-                                        and np.array_equal(stats.t_end, other.t_end))
+            row["bit_identical"] = same_bits(stats, other)
         out[name] = row
         print(f"{name:>18} {row['msteps_per_s']:>8.3f}"
               + (f" {row['against_msteps_per_s']:>8.3f} {row['ratio']:6.2f}"

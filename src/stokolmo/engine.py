@@ -17,27 +17,38 @@ keeps running reductions; the leading ``keep`` paths of an ensemble
 also keep every state, so stored paths and the ensemble statistics come
 from one pass.  A block is laid out species-major: its state is (n, paths)
 and each chunk of ``_CHUNK`` time steps holds one float64 (``_CHUNK``, n,
-paths) buffer.  It starts as the chunk's noise increments; each step
-writes its log state over the noise row it has used, and X overwrites the
-log states once the chunk's reductions have read them.  Every per-step
-operation and every per-species constant or per-path mask runs over
-contiguous rows of paths.  The paths are split into the fewest
-contiguous, near-equal blocks whose buffer fits the ``_BLOCK_BYTES`` cap.
-Each path draws its chunk of standard normals into one reused (``_CHUNK``,
-n) buffer and mixes species i as 0.0 plus the nonzero L[i, j] xi_j terms
-in j order; a zero term would only add a signed zero to a sum that is
-never -0.0, so skipping it changes no bit.  A path that crosses the
-blow-up threshold halts (its terminal state and time are recorded and it
-is frozen out of further arithmetic); crossing the extinction threshold
-is only flagged, since in log coordinates nothing bad happens
-numerically when a species keeps decaying.  A path whose state turns
-nan (an expression that evaluated to inf - inf, say) or -inf (a drift
-that overflowed to -inf) is aborted like a domain error: its last finite
-state is terminal and it carries the error.  Halted and aborted paths are
-parked at the start state, where step 1 evaluated drift and noise for
-every path, so they never raise; a path aborted in its drift is parked
-before that step's noise is evaluated.
-Once every path of a block has halted the block stops stepping at once.
+paths) buffer.  Every per-step operation and every per-species constant
+or per-path mask runs over contiguous rows of paths.  The paths are split
+into the fewest contiguous, near-equal blocks whose buffer fits the
+``_BLOCK_BYTES`` cap.
+
+The chunk buffer takes its noise increments ``_SUB`` rows at a time, when
+the steps reach them: each path draws its next (``_SUB``, n) standard
+normals into one (paths, ``_SUB``, n) buffer, and species i is mixed for
+every path at once as 0.0 plus the nonzero L[i, j] xi_j terms in j order;
+a zero term would only add a signed zero to a sum that is never -0.0, so
+skipping it changes no bit.  Each path draws from its own stream, so eight
+draws of 512 rows give the bits of one draw of 4096, and a block whose
+paths have all halted draws no more.  Each step writes its log state over
+the noise row it has used, and X overwrites the log states once the
+chunk's reductions have read them.  A chunk past burn-in in which no path
+halts counts every step of every path, so its reductions build no mask.
+Lotka-Volterra drift is written in place into buffers made once per
+block, summed in the order ``KolmogorovModel.drift_at`` sums it; a
+polynomial cannot fail, so only expression drift and noise are evaluated
+through ``drift_at`` and ``noise_amp_at`` with domain errors isolated.
+
+A path that crosses the blow-up threshold halts (its terminal state and
+time are recorded and it is frozen out of further arithmetic); crossing
+the extinction threshold is only flagged, since in log coordinates
+nothing bad happens numerically when a species keeps decaying.  A path
+whose state turns nan (an expression that evaluated to inf - inf, say)
+or -inf (a drift that overflowed to -inf) is aborted like a domain error:
+its last finite state is terminal and it carries the error.  Halted and
+aborted paths are parked at the start state, where step 1 evaluated
+drift and noise for every path, so they never raise; a path aborted in
+its drift is parked before that step's noise is evaluated.  Once every
+path of a block has halted the block stops stepping at once.
 What leaves a block (:class:`EnsembleStats`, :class:`Trajectory`) is
 path-major again.
 
@@ -59,6 +70,7 @@ from .expressions import ExpressionDomainError
 from .model import ConstantNoise, KolmogorovModel
 
 _CHUNK = 4096   # time steps integrated per noise batch; fixed for reproducibility
+_SUB = 512      # chunk rows whose noise is drawn at once, when the steps reach them
 _BLOCK_BYTES = 16 << 20   # cap on one (_CHUNK, n, paths) float64 chunk buffer of a block
 
 _MASK64 = (1 << 64) - 1
@@ -225,11 +237,15 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     n_steps = cfg.n_steps
     burn_idx = cfg.burn_steps
     dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
+    # the step's scalar factors as 0-d arrays, which ufuncs take faster
+    # than Python floats
+    dt_0d = np.array(dt)
+    sqrt_dt = np.array(np.sqrt(dt))
     W = _N_WINDOWS
     nb = _GRID_BINS
     inv_width = 1.0 / _GRID_WIDTH
     blow_thr = BLOWUP_LOG_THRESHOLD
+    max_reduce = np.maximum.reduce
 
     L = model.gamma_t
     # the nonzero terms of (L xi)_i, in j order
@@ -237,8 +253,8 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     half_sig = 0.5 * np.diag(model.sigma)[:, None]
     const_noise = isinstance(model.noise, ConstantNoise)
     if const_noise:
-        g_col = model.noise.g[:, None]
-        ito_const = np.repeat(half_sig * g_col ** 2, P, axis=1)
+        g = model.noise.g
+        ito_const = np.repeat(half_sig * g[:, None] ** 2, P, axis=1)
 
     gens = _generators(cfg.seed, path_ids)
     Y = np.repeat(y0[:, None], P, axis=1)
@@ -266,6 +282,21 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     if burn_idx == 0:
         y_burn[:] = Y
     n_live = P    # paths not yet halted; below P the update is masked
+
+    lv = model.is_lv
+    if lv:
+        # f - sigma_ii g_i^2 / 2, written in place: row 0 of ``lv_terms``
+        # holds a, row 1 + j holds B[:, j] X_j and the last row the negated
+        # Ito constant, summed down the rows in order from -0.0.  So f_i =
+        # a_i + B_i0 X_0 + B_i1 X_1 + ... as ``drift_at`` sums it, and
+        # adding the negation is subtracting
+        lv_terms = np.empty((n + 2, n, P))
+        lv_terms[0] = model.drift.a[:, None]
+        lv_terms[-1] = -ito_const
+        lv_prod = lv_terms[1:-1]
+        b_rows = model.drift.B.T[:, :, None]
+        x_rows = X[:, None, :]
+        F = np.empty((n, P))
 
     def freeze(cols, step):
         """Halt the paths ``cols`` at ``step``: record their state, park them
@@ -314,75 +345,91 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
                 freeze(cols, step)
                 X[:, cols] = x_park
 
+    def fill_noise(buf, draw, s0, s1):
+        """Write the noise increments of chunk rows s0..s1-1 into ``buf``:
+        each path draws its next (s1 - s0, n) standard normals, then
+        (L xi)_i is 0.0 plus the nonzero L[i, j] xi_j terms in j order, for
+        every path at once; constant noise is scaled by g_i, then sqrt(dt)."""
+        d = draw[:, :s1 - s0]
+        for p in range(P):
+            gens[p].standard_normal(out=d[p])
+        for i, terms in enumerate(mix):
+            acc = 0.0
+            for j, lij in terms:
+                acc = acc + d[:, :, j] * lij
+            if const_noise:
+                acc *= g[i]
+                acc *= sqrt_dt
+            buf[s0:s1, i] = acc.T
+
     windows_len = max(n_steps - burn_idx, 1)
-    eps = np.empty((min(_CHUNK, n_steps), n))
     step = 0
     while step < n_steps:
         K = min(_CHUNK, n_steps - step)
         y_start = Y      # the state before the chunk's first step
-        # noise increments (L xi)_i, path by path so every path sees the
-        # same bits in any block shape; zero L[i, j] terms are skipped
         buf = np.empty((K, n, P))
-        draw = eps[:K]
-        for p in range(P):
-            gens[p].standard_normal(out=draw)
-            for i, terms in enumerate(mix):
-                acc = 0.0
-                for j, lij in terms:
-                    acc = acc + draw[:, j] * lij
-                buf[:, i, p] = acc
-        if const_noise:
-            buf *= g_col
-            buf *= sqrt_dt
-
-        for k in range(K):
-            gstep = step + k + 1
-            np.exp(Y, out=X)
-            dY = eval_with_isolation("drift", gstep)
-            if const_noise:
-                dY -= ito_const
-                dY *= dt
-                dY += buf[k]
-            else:
-                G = eval_with_isolation("noise", gstep)
-                ito = half_sig * G
-                ito *= G
-                dY -= ito
-                dY *= dt
-                G *= buf[k]
-                G *= sqrt_dt
-                dY += G
-            if n_live < P:
-                dY *= actf
-            # the step has spent noise row k; its state takes the row's place
-            Y = np.add(Y, dY, out=buf[k])
-            # one scalar screen per step; nan fails it too and gets the column test
-            if not Y.max() <= blow_thr:
-                top = Y.max(axis=0)
-                over = active & (top > blow_thr)
-                if over.any():
-                    cols = np.flatnonzero(over)
-                    blow_time[cols] = gstep * dt
-                    freeze(cols, gstep)
-                nan = np.isnan(top)
-                if nan.any():
-                    cols = np.flatnonzero(nan & active)
-                    if cols.size:
-                        # aborted like a domain error, the last finite state terminal
-                        for p in cols:
-                            errors[path_ids[p]] = _nonfinite_error(gstep * dt)
+        draw = np.empty((P, min(_SUB, K), n))
+        for s0 in range(0, K, _SUB):
+            s1 = min(s0 + _SUB, K)
+            fill_noise(buf, draw, s0, s1)
+            for k in range(s0, s1):
+                gstep = step + k + 1
+                row = buf[k]
+                np.exp(Y, out=X)
+                if lv:
+                    np.multiply(b_rows, x_rows, out=lv_prod)
+                    dY = np.add.reduce(lv_terms, axis=0, out=F, initial=-0.0)
+                else:
+                    dY = eval_with_isolation("drift", gstep)
+                    if const_noise:
+                        dY -= ito_const
+                if const_noise:
+                    dY *= dt_0d
+                    dY += row
+                else:
+                    G = eval_with_isolation("noise", gstep)
+                    ito = half_sig * G
+                    ito *= G
+                    dY -= ito
+                    dY *= dt_0d
+                    G *= row
+                    G *= sqrt_dt
+                    dY += G
+                if n_live < P:
+                    dY *= actf
+                # the step has spent noise row k; its state takes the row's place
+                Y = np.add(Y, dY, out=row)
+                # one scalar screen per step; nan fails it too and gets the column test
+                if not max_reduce(Y, axis=None) <= blow_thr:
+                    top = Y.max(axis=0)
+                    over = active & (top > blow_thr)
+                    if over.any():
+                        cols = np.flatnonzero(over)
+                        blow_time[cols] = gstep * dt
                         freeze(cols, gstep)
-                        terminal[:, cols] = (buf[k - 1] if k else y_start)[:, cols]
-                    # inf * 0 is nan: where a drift or noise term is infinite
-                    # at x0, a parked path turns nan again each step; park it again
-                    Y[:, nan] = y0[:, None]
-            if gstep == burn_idx:
-                y_burn[:, active] = Y[:, active]
+                    nan = np.isnan(top)
+                    if nan.any():
+                        cols = np.flatnonzero(nan & active)
+                        if cols.size:
+                            # aborted like a domain error, the last finite state terminal
+                            for p in cols:
+                                errors[path_ids[p]] = _nonfinite_error(gstep * dt)
+                            freeze(cols, gstep)
+                            terminal[:, cols] = (buf[k - 1] if k else y_start)[:, cols]
+                        # inf * 0 is nan: where a drift or noise term is infinite
+                        # at x0, a parked path turns nan again each step; park it again
+                        Y[:, nan] = y0[:, None]
+                if gstep == burn_idx:
+                    y_burn[:, active] = Y[:, active]
+                if n_live == 0:
+                    break
             if n_live == 0:
-                # every path halted: the remaining steps would all be masked out
+                # every path halted: the remaining steps would all be masked
+                # out, and their noise is never drawn
                 K = k + 1
                 buf = buf[:K]
                 break
+        del draw
         # keep the state, not a view of the chunk's buffer
         Y = Y.copy()
         # a state that reaches -inf stays there (-inf plus anything finite) or
@@ -403,37 +450,46 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         states[:, step + 1:step + K + 1] = buf[:, :, :keep].transpose(2, 0, 1)
 
         gsteps = np.arange(step + 1, step + K + 1)
-        valid = gsteps[:, None] < halt_step[None, :]          # (K, P)
-        stats_mask = valid & (gsteps[:, None] > burn_idx)
-        # extinction first hits, only while a path is live
-        hits = buf < EXTINCT_LOG_THRESHOLD
-        hits &= valid[:, None, :]
-        hits &= pending_ext
-        anyhit = hits.any(axis=0)
-        if anyhit.any():
-            first = hits.argmax(axis=0)
-            t_hit = (step + first + 1) * dt
-            extinct_time[anyhit] = t_hit[anyhit]
-            pending_ext &= ~anyhit
-        del hits
+        # every (step, path) of the chunk counts when the chunk is past
+        # burn-in and no path halted in it; then no mask is built
+        full = step >= burn_idx and step + K < halt_step.min()
+        if not full:
+            valid = gsteps[:, None] < halt_step[None, :]          # (K, P)
+            stats_mask = valid & (gsteps[:, None] > burn_idx)
+        # extinction first hits, only while a path is live; one scalar
+        # screen before the full-size passes
+        if pending_ext.any() and buf.min() < EXTINCT_LOG_THRESHOLD:
+            hits = buf < EXTINCT_LOG_THRESHOLD
+            if not full:
+                hits &= valid[:, None, :]
+            hits &= pending_ext
+            anyhit = hits.any(axis=0)
+            if anyhit.any():
+                first = hits.argmax(axis=0)
+                t_hit = (step + first + 1) * dt
+                extinct_time[anyhit] = t_hit[anyhit]
+                pending_ext &= ~anyhit
+            del hits
         # occupation and moment accumulation over post-burn-in live steps;
         # X overwrites the log states last
-        if stats_mask.any():
-            stats_steps += stats_mask.sum(axis=0)
+        if full or stats_mask.any():
+            stats_steps += K if full else stats_mask.sum(axis=0)
             wid = np.minimum(((gsteps - burn_idx - 1) * W) // windows_len, W - 1)
-            offset = (wid * (nb + 2))[:, None]
+            offset = (wid * (nb + 2) + 1)[:, None]
             for i in range(n):
                 scaled = buf[:, i] - _GRID_LO
                 scaled *= inv_width
                 idx = scaled.astype(np.int64)
                 del scaled
                 np.clip(idx, -1, nb, out=idx)
-                idx += offset + 1
+                idx += offset
                 hist_counts[:, i] += np.bincount(
-                    idx[stats_mask], minlength=W * (nb + 2)).reshape(W, nb + 2)
-            del idx
+                    idx.ravel() if full else idx[stats_mask],
+                    minlength=W * (nb + 2)).reshape(W, nb + 2)
+                del idx
             np.exp(buf, out=buf)
-            buf *= stats_mask[:, None, :]
+            if not full:
+                buf *= stats_mask[:, None, :]
             sum_x += _step_sum(buf)
         del buf
         step += K

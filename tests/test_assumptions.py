@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,30 @@ def test_state_dependent_but_bounded_below():
     chk = check_nondegeneracy(general(["1 - x1"], ["1 + 0.1*x1"]))
     assert chk.status == "heuristic-pass"
 
+
+
+def test_state_dependent_noise_probes_at_most_the_grid_budget():
+    # 16 species: the full grid has 2^16 points, one model evaluation each,
+    # over the budget; the origin, the 16 axis points and the random fill
+    # are probed instead, and the report names the count and the budget
+    n = 16
+    model = general([f"1 - x{i}" for i in range(1, n + 1)],
+                    [f"1 + 0.1*x{i}" for i in range(1, n + 1)])
+    start = time.perf_counter()
+    report = run_assumption_checks(model)
+    assert time.perf_counter() - start < 1.0
+    chk = report.nondegenerate
+    assert chk.status == "heuristic-pass"
+    assert chk.detail == (
+        "state-dependent amplitudes: sampled minimum eigenvalue 1 over 117 points "
+        "in [0, 10.0]^n (the origin, the axis points and the random fill: the full "
+        "grid of 65536 points is over the budget of 4096)")
+    pts = assumptions._sample_points(n)
+    assert np.array_equal(pts[:1 + n], np.vstack([np.zeros(n), 10.0 * np.eye(n)]))
+    # 12 species is the largest full grid: 2^12 points and the random fill
+    assert assumptions._per_axis(12) ** 12 == assumptions._SAMPLE_GRID_BUDGET
+    assert assumptions._sample_points(12).shape == (4096 + 100, 12)
+    assert assumptions._sample_points(13).shape == (1 + 13 + 100, 13)
 
 # -- tightness --------------------------------------------------------------
 

@@ -537,13 +537,71 @@ def test_variable_free_noise_runs_as_constant_noise(monkeypatch):
     assert np.array_equal(stats.histogram.masses, ref.histogram.masses)
 
 
+class CountingGenerator:
+    """A path's generator that counts the rows of normals it hands out."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.rows = 0
+
+    def standard_normal(self, out):
+        self.rows += out.shape[0]
+        return self.gen.standard_normal(out=out)
+
+
+def count_draws(monkeypatch):
+    """Every generator the engine makes from now on, counting its draws."""
+    made = []
+    generators = engine._generators
+
+    def counted(seed, path_ids):
+        gens = [CountingGenerator(g) for g in generators(seed, path_ids)]
+        made.extend(gens)
+        return gens
+
+    monkeypatch.setattr(engine, "_generators", counted)
+    return made
+
+
+# COOP's dynamics written as expressions, so each step evaluates drift_at
+COOP_EXPR = parse_model(json.dumps({
+    "n": 2, "general": {"f": ["2 - x1 + 2*x2", "2 + 2*x1 - x2"], "g": ["1", "1"]},
+    "sigma": np.eye(2).tolist()}))
+
+
 def test_halted_block_stops_stepping(monkeypatch):
+    # every path halts early in the first chunk: the block takes no step
+    # past the last halt and draws no noise past the sub-chunk holding it.
+    # The Lotka-Volterra step computes its drift in place, so only the
+    # expression twin counts its steps through drift_at
     cfg = SimConfig(n_paths=8, t_max=50.0, burn_in=1.0, seed=0)
-    calls = count_calls(monkeypatch, "drift_at")
-    stats = simulate_ensemble(COOP, np.ones(2), cfg)
-    last_halt = int(np.rint(stats.t_end / cfg.dt).max())
-    assert last_halt < engine._CHUNK          # every path halted in the first chunk
-    assert len(calls) <= last_halt
+    for model in (COOP, COOP_EXPR):
+        calls = count_calls(monkeypatch, "drift_at")
+        gens = count_draws(monkeypatch)
+        stats = simulate_ensemble(model, np.ones(2), cfg)
+        last_halt = int(np.rint(stats.t_end / cfg.dt).max())
+        assert last_halt < engine._CHUNK - engine._SUB
+        assert len(calls) == (0 if model.is_lv else last_halt)
+        drawn = -(-last_halt // engine._SUB) * engine._SUB
+        assert len(gens) == cfg.n_paths
+        assert all(g.rows == drawn for g in gens)
+
+
+@pytest.mark.parametrize("keep", ["stats", "partial"])
+@pytest.mark.parametrize("case", ["corr3_lv", "expression_noise", "aborting", "coop_blowup"])
+def test_noise_sub_chunks_cannot_change_results(monkeypatch, case, keep):
+    # drawing a chunk's noise a row, 7 rows, 512 rows or the whole chunk at
+    # a time gives the same bits
+    model, n_paths, t_max, _ = REFERENCE_CASES[case]
+    cfg = SimConfig(n_paths=n_paths, t_max=t_max, dt=1e-2, burn_in=1.0, seed=3)
+    ids = list(range(n_paths))
+    k = KEEP[keep](n_paths)
+    runs = {}
+    for sub in (1, 7, 512, engine._CHUNK):
+        monkeypatch.setattr(engine, "_SUB", sub)
+        runs[sub] = engine._run_block(model, np.zeros(model.n), cfg, ids, k)
+    for sub in (1, 7, 512):
+        assert_same_block(runs[sub], runs[engine._CHUNK], cfg.dt, k)
 
 
 # -- the species-major block against the path-major reference ------------------
@@ -816,4 +874,21 @@ def test_a_chunk_holds_one_buffer():
     finally:
         tracemalloc.stop()
     assert model.n == 3 and cfg.n_steps > engine._CHUNK
+    assert peak < 2.5 * engine._CHUNK * model.n * 128 * 8
+
+
+def test_a_fully_live_chunk_holds_one_buffer():
+    # the second chunk is past burn-in and no path halts in it, so its
+    # reductions run without masks; its noise is drawn in sub-chunks
+    model = load_model(model_path("two_pred_one_prey"))
+    cfg = SimConfig(n_paths=128, t_max=82.0, dt=1e-2, burn_in=1.0)
+    y0 = np.zeros(model.n)
+    tracemalloc.start()
+    try:
+        out = engine._run_block(model, y0, cfg, range(128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n == 3 and cfg.n_steps > 2 * engine._CHUNK
+    assert out.t_end.min() == cfg.t_max
     assert peak < 2.5 * engine._CHUNK * model.n * 128 * 8
