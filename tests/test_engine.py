@@ -575,9 +575,11 @@ def test_halted_block_stops_stepping(monkeypatch):
     # The Lotka-Volterra step computes its drift in place, so only the
     # expression twin counts its steps through drift_at
     cfg = SimConfig(n_paths=8, t_max=50.0, burn_in=1.0, seed=0)
+    calls = count_calls(monkeypatch, "drift_at")
+    gens = count_draws(monkeypatch)
     for model in (COOP, COOP_EXPR):
-        calls = count_calls(monkeypatch, "drift_at")
-        gens = count_draws(monkeypatch)
+        calls.clear()
+        gens.clear()
         stats = simulate_ensemble(model, np.ones(2), cfg)
         last_halt = int(np.rint(stats.t_end / cfg.dt).max())
         assert last_halt < engine._CHUNK - engine._SUB
