@@ -8,6 +8,7 @@ Run from the repository root:
     python3 scripts/bench.py --label lp --against ../other-checkout
     python3 scripts/bench.py --section classify --label classify --against ../other
     python3 scripts/bench.py --section engine --label engine --against ../other
+    python3 scripts/bench.py --section verify --label verify --against ../other
 
 --section lp (the default) classifies seeded competitive and food-chain
 Lotka-Volterra communities of 3-10 species and keeps the block of every
@@ -33,14 +34,22 @@ burn-in and seed ``stokolmo verify`` uses there, ENGINE_ROUNDS times,
 and reports the median time as million path-steps per second (path-steps
 count each path up to its halt).
 
+--section verify times ``classify`` plus ``verify_verdict`` on each
+model ``scripts/run_examples.py`` runs, at its quick budget (64 paths,
+T = 240) with the burn-in ``stokolmo verify`` takes, min(50, T / 10),
+and seed 0, VERIFY_ROUNDS times, and reports the median time per model
+with the verdict kind and verification status (an Inconclusive verdict
+is classified only).
+
 Timings taken in separate runs drift with the host's speed.  --against
 CHECKOUT loads that checkout's package beside this one and times both
 on every table or model back to back, in alternating order.  An LP shape
 also gets that solver's median and the median over its tables of the
 per-table time ratio; a classify or engine model gets the other time, the
 median over rounds of the time ratio (this checkout over the other) and
-whether both gave the same verdict document, or the same bits in every
-array of the ensemble statistics and the same path errors.
+whether both gave the same verdict document, the same bits in every
+array of the ensemble statistics and the same path errors, or the same
+canonical JSON of the verdict and verification documents.
 """
 
 import argparse
@@ -84,6 +93,10 @@ ENGINE_PLAN = (
     ("two_pred_one_prey", 30.0, 0),
     ("coop_blowup", 30.0, 0),
 )
+
+VERIFY_PATHS = 64
+VERIFY_T = 240.0
+VERIFY_ROUNDS = 3   # classify + verify runs per model and checkout; the median counts
 
 
 def lv_doc(a, B, s) -> dict:
@@ -391,10 +404,53 @@ def engine_section(against) -> dict:
     return {"paths": ENGINE_PATHS, "dt": ENGINE_DT, "rounds": ENGINE_ROUNDS, "models": out}
 
 
+def verify_section(against) -> dict:
+    """Median ``classify`` + ``verify_verdict`` time per model; every round
+    runs each model once per package, in alternating order."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from run_examples import MODELS
+    packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
+    seconds = np.zeros((len(packages), len(MODELS), VERIFY_ROUNDS))
+    reports = {}
+    order = list(range(len(packages)))
+    for r in range(VERIFY_ROUNDS):
+        for m, name in enumerate(MODELS):
+            order.reverse()
+            for k in order:
+                pkg = packages[k]
+                model = pkg.load_model(str(ROOT / "models" / f"{name}.json"))
+                cfg = pkg.SimConfig(t_max=VERIFY_T, burn_in=min(50.0, 0.1 * VERIFY_T),
+                                    n_paths=VERIFY_PATHS, seed=0)
+                t0 = time.perf_counter()
+                verdict = pkg.classify(model, pkg.AnalysisBudget())
+                ver = (None if verdict.kind == "Inconclusive"
+                       else pkg.verify_verdict(model, verdict, cfg))
+                seconds[k, m, r] = time.perf_counter() - t0
+                reports[k, name] = (verdict.kind, ver and ver.status, pkg.canonical_json(
+                    {"verdict": verdict.to_json_dict(),
+                     "verification": ver and ver.to_json_dict()}))
+    out = {}
+    for m, name in enumerate(MODELS):
+        kind, status, _ = reports[0, name]
+        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
+        row = {"verdict": kind, "status": status, "median_s": round(med[0], 3)}
+        if against:
+            row["against_median_s"] = round(med[1], 3)
+            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
+            row["same_report"] = reports[0, name][2] == reports[1, name][2]
+        out[name] = row
+        print(f"{name:>18} {kind:>12} {status or '-':>7} {row['median_s']:>8.3f}"
+              + (f" {row['against_median_s']:>8.3f} {row['ratio']:6.2f}"
+                 f" {'same report' if row['same_report'] else 'REPORT DIFFERS'}"
+                 if against else ""))
+    return {"paths": VERIFY_PATHS, "t_max": VERIFY_T, "seed": 0,
+            "rounds": VERIFY_ROUNDS, "models": out}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--section", choices=("lp", "classify", "engine"), default="lp",
+    ap.add_argument("--section", choices=("lp", "classify", "engine", "verify"), default="lp",
                     help="the layer to time (default: lp)")
     ap.add_argument("--against", help="another checkout timed alongside")
     args = ap.parse_args()
@@ -406,7 +462,7 @@ def main() -> int:
     if args.against:
         doc["against_git"] = git_rev(args.against)
     section = {"lp": lp_section, "classify": classify_section,
-               "engine": engine_section}[args.section]
+               "engine": engine_section, "verify": verify_section}[args.section]
     doc.update(section(args.against))
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -94,27 +94,23 @@ def check_nondegeneracy(model: KolmogorovModel) -> AssumptionCheck:
     The theory requires x^T A(x) x >= gamma ||x||^2 with A_ij(x) =
     g_i(x) g_j(x) sigma_ij on every compact.  We probe a grid (including
     boundary faces, where state-dependent amplitudes most often die) and
-    random points, and report the worst eigenvalue with its witness.
+    random points, and report the worst eigenvalue with its first witness.
     Constant amplitudes give the same matrix at every point, so only the
     first point, the origin, is decomposed and no grid is built; the report
-    still counts every point.  State-dependent amplitudes are evaluated
-    point by point, so a grid over ``_SAMPLE_GRID_BUDGET`` points is cut to
-    its axis points, and the report says so.
+    still counts every point.  State-dependent amplitudes are evaluated and
+    decomposed at all points at once; a grid over ``_SAMPLE_GRID_BUDGET``
+    points is cut to its axis points, and the report says so.
     """
     n = model.n
     constant = isinstance(model.noise, ConstantNoise)
     pts = np.zeros((1, n)) if constant else _sample_points(n)
     grid = _per_axis(n) ** n
-    worst = np.inf
-    worst_x = None
-    for x in pts:
-        g = model.noise_amp_at(x)
-        _require_finite("nondegenerate-noise", x[None], g[None])
-        A = np.outer(g, g) * model.sigma
-        lam = float(np.linalg.eigvalsh(A)[0])
-        if lam < worst:
-            worst = lam
-            worst_x = x
+    G = model.noise_amp_at(pts)
+    _require_finite("nondegenerate-noise", pts, G)
+    lams = np.linalg.eigvalsh(G[:, :, None] * G[:, None, :] * model.sigma)[:, 0]
+    lams[np.isnan(lams)] = np.inf    # an overflowing matrix has no eigenvalue to rank
+    k = int(np.argmin(lams))
+    worst, worst_x = float(lams[k]), pts[k]
     scale = max(1.0, float(np.max(np.abs(model.sigma))))
     if worst <= 1e-10 * scale:
         return AssumptionCheck(

@@ -575,6 +575,10 @@ def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
     fmodel = restrict_to_face(model, face)
     cfg = replace(budget.face_sim, seed=_face_seed(budget.face_sim.seed, face))
     per_path = max(1, _BATCHES // cfg.n_paths)
+    if cfg.n_steps - cfg.burn_steps < per_path:     # a batch would be empty
+        raise MeasureError(
+            f"face {_face_label(face)}: {cfg.n_steps - cfg.burn_steps} steps past "
+            f"burn-in cannot fill {per_path} batches per path")
     sel = np.array(face, dtype=int)
 
     batch_rates = []

@@ -80,13 +80,6 @@ class LVDrift:
 
     a: np.ndarray
     B: np.ndarray
-    # (n, 1) column views of a and of each B[:, j], for species-row evaluation
-    a_col: np.ndarray = field(init=False, repr=False, compare=False)
-    B_cols: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.a_col = self.a[:, None]
-        self.B_cols = tuple(self.B[:, j:j + 1] for j in range(self.B.shape[1]))
 
 
 @dataclass
@@ -152,24 +145,17 @@ class KolmogorovModel:
         return isinstance(self.drift, LVDrift) and isinstance(self.noise, ConstantNoise)
 
     def drift_at(self, x: np.ndarray) -> np.ndarray:
-        """Per-capita growth rates; x is (n,) or (paths, n), same shape out.
-
-        A (paths, n) input may be in any memory order.  It is evaluated one
-        species row at a time over ``x.T``, so a transposed species-major
-        (n, paths) array, as the engine passes, has contiguous rows and the
-        result's transpose is species-major too.  Each entry is
-        a_i + x_0 B_i0 + x_1 B_i1 + ... summed in that order, whatever the
-        shape or order of x; an (n,) input is evaluated as one row.
-        """
+        """Per-capita growth rates; x is (n,) or (paths, n) in any memory
+        order, same shape out.  A Lotka-Volterra entry is a_i + x_0 B_i0 +
+        x_1 B_i1 + ... summed in that order, the order the engine's in-place
+        step keeps, whatever the shape or order of x."""
         x = np.asarray(x, dtype=float)
         if isinstance(self.drift, LVDrift):
-            B_cols = self.drift.B_cols
-            one = x.ndim == 1
-            xt = x[:, None] if one else x.T
-            out = self.drift.a_col + B_cols[0] * xt[0]
+            B = self.drift.B
+            out = self.drift.a + x[..., :1] * B[:, 0]
             for j in range(1, self.n):
-                out += B_cols[j] * xt[j]
-            return out[:, 0] if one else out.T
+                out += x[..., j:j + 1] * B[:, j]
+            return out
         return self.drift.at(x)
 
     def noise_amp_at(self, x: np.ndarray) -> np.ndarray:

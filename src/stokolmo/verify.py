@@ -17,6 +17,12 @@ Extinction   paths sorted by which species are below the extinction
 BlowUpRisk   the flagged fraction and the measured drift of the weighted
              log-total, which the certificate says is positive.
 
+Every kind takes one flow through ``verify_verdict``: one ensemble pass
+(which for BlowUpRisk also stores the first 32 paths as slope probes),
+one sort of its paths under the sink sets of ``verdict.targets`` (none
+for Persistent and BlowUpRisk), one exponent summary, and then the kind's
+grader, which returns its checks and the report fields it fills.
+
 A disagreement marks the report FAILED with the offending statistic.
 Verification never edits the verdict; it attaches evidence.
 """
@@ -44,7 +50,7 @@ class VerifyError(StokolmoError):
 
 def tv_distance(h1: OccupationHistogram, h2: OccupationHistogram) -> float:
     """Largest per-species total-variation distance between two histograms."""
-    if not h1.same_grid(h2) or h1.masses.shape != h2.masses.shape:
+    if not h1.same_grid(h2):
         raise VerifyError("histograms live on different grids")
     return float(np.max(0.5 * np.sum(np.abs(h1.masses - h2.masses), axis=1)))
 
@@ -128,32 +134,23 @@ def classify_paths(stats: EnsembleStats,
     """Sort paths by terminal state: sink key, 'interior', 'blow-up', 'unassigned'.
 
     A path belongs to a sink when the species below the extinction log
-    threshold at the horizon are exactly that sink's predicted extinct set.
-    The returned labels array holds one class per path; the counts dict is
-    exhaustive and sums to the number of paths.
+    threshold at the horizon are exactly that sink's predicted extinct set
+    (the first such sink, in dict order).  A path that hit the blow-up
+    threshold is 'blow-up' whatever its terminal state, and one with no
+    species below the threshold is 'interior'.  The returned labels array
+    holds one class per path; the counts dict is exhaustive and sums to the
+    number of paths.
     """
-    P = stats.n_paths
-    labels = np.empty(P, dtype=object)
-    counts = {key: 0 for key in extinct_sets}
-    counts["interior"] = 0
-    counts["blow-up"] = 0
-    counts["unassigned"] = 0
-    for p in range(P):
-        if np.isfinite(stats.blowup_time[p]):
-            labels[p] = "blow-up"
-        else:
-            below = frozenset(
-                int(i) for i in np.flatnonzero(stats.y_end[p] < EXTINCT_LOG_THRESHOLD))
-            if not below:
-                labels[p] = "interior"
-            else:
-                for key, ext in extinct_sets.items():
-                    if below == ext:
-                        labels[p] = key
-                        break
-                else:
-                    labels[p] = "unassigned"
-        counts[labels[p]] += 1
+    below = stats.y_end < EXTINCT_LOG_THRESHOLD
+    labels = np.full(stats.n_paths, "unassigned", dtype=object)
+    for key, ext in reversed(extinct_sets.items()):
+        sink = np.zeros(below.shape[1], dtype=bool)
+        sink[list(ext)] = True
+        labels[(below == sink).all(axis=1)] = key
+    labels[~below.any(axis=1)] = "interior"
+    labels[np.isfinite(stats.blowup_time)] = "blow-up"
+    counts = {key: int(np.count_nonzero(labels == key))
+              for key in [*extinct_sets, "interior", "blow-up", "unassigned"]}
     return counts, labels
 
 
@@ -162,13 +159,12 @@ def estimate_basin_probabilities(stats: EnsembleStats, verdict: Verdict,
     """Per-sink path fractions with binomial intervals, plus the raw split.
 
     Returns (estimates, class counts, per-path labels, low_confidence);
-    low confidence is flagged when more than 10% of the non-blown paths
-    ended up neither interior-free nor matched to a predicted sink: the
-    horizon was too short to sort them.
+    low confidence is flagged when more than 10% of all paths, blown ones
+    included in the total, ended up interior or unassigned (matched to no
+    predicted sink): the horizon was too short to sort them.
     """
-    extinct_sets = {
-        t.measure.key: frozenset(t.extinct) for t in verdict.targets}
-    counts, labels = classify_paths(stats, extinct_sets)
+    counts, labels = classify_paths(
+        stats, {t.measure.key: frozenset(t.extinct) for t in verdict.targets})
     total = stats.n_paths
     estimates = []
     for t in verdict.targets:
@@ -176,8 +172,7 @@ def estimate_basin_probabilities(stats: EnsembleStats, verdict: Verdict,
         c = counts[key]
         sm = None
         if c > 0 and t.measure.support:
-            sel = np.flatnonzero(labels == key)
-            surv = stats.path_mean_state[sel][:, list(t.measure.support)]
+            surv = stats.path_mean_state[labels == key][:, list(t.measure.support)]
             sm = [float(v) for v in surv.mean(axis=0)]
         estimates.append(BasinEstimate(
             measure=key, count=c, total=total, p_hat=c / total,
@@ -185,6 +180,50 @@ def estimate_basin_probabilities(stats: EnsembleStats, verdict: Verdict,
     not_sorted = counts["interior"] + counts["unassigned"]
     low_confidence = not_sorted > 0.10 * total
     return estimates, counts, labels, low_confidence
+
+
+def _ensemble(model: KolmogorovModel, cfg: SimConfig | None, x0, probes: bool):
+    """(cfg, x0, stats) of the one ensemble pass, cfg and x0 defaulted.  With
+    ``probes``, which only two species allow, the pass also stores paths
+    0 .. 31 for the blow-up slope."""
+    if probes and model.n != 2:
+        raise VerifyError("the blow-up signature is defined for two species")
+    cfg = cfg or SimConfig()
+    x0 = np.ones(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    keep = min(32, cfg.n_paths) if probes else 0
+    return cfg, x0, simulate_ensemble(model, x0, cfg, keep=keep)
+
+
+def _signature(model: KolmogorovModel, stats: EnsembleStats, x0: np.ndarray,
+               counts: dict) -> dict:
+    """The blow-up signature read off the probe paths ``stats`` stores."""
+    w = np.ones(2)
+    if model.is_lv:
+        b = -np.diag(model.drift.B)
+        if np.all(b > 0.0):
+            w = np.array([b[1], b[0]])
+    # the ensemble terminal of a blown path is one post-threshold Euler step,
+    # numerically stiff and meaningless as a state; the slope is measured on
+    # the probe paths at half the halt time (pre-explosion); the first
+    # aborted probe in id order raises
+    y0 = np.log(x0)
+    n_probe = len(stats.paths)
+    slopes = np.empty(n_probe)
+    for pid, traj in enumerate(stats.paths):
+        if traj.error is not None:
+            raise EngineError(traj.error)
+        last = traj.log_states.shape[0] - 1
+        idx = max(1, last // 2) if traj.blowup_time is not None else last
+        slopes[pid] = float(w @ (traj.log_states[idx] - y0)) / traj.times[idx]
+    halted = stats.blowup_time[np.isfinite(stats.blowup_time)]
+    return {
+        "weights": [float(v) for v in w],
+        "slope_mean": float(slopes.mean()),
+        "slope_se": (float(slopes.std(ddof=1) / np.sqrt(n_probe)) if n_probe > 1
+                     else float("nan")),
+        "blowup_fraction": counts["blow-up"] / stats.n_paths,
+        "median_halt_time": float(np.median(halted)) if halted.size else None,
+    }
 
 
 def detect_blowup_signature(model: KolmogorovModel, cfg: SimConfig | None = None,
@@ -196,66 +235,21 @@ def detect_blowup_signature(model: KolmogorovModel, cfg: SimConfig | None = None
     cancel); otherwise both weights are 1.  A positive slope beyond its
     uncertainty is the blow-up signature.
     """
-    if model.n != 2:
-        raise VerifyError("the blow-up signature is defined for two species")
-    cfg = cfg or SimConfig()
-    if x0 is None:
-        x0 = np.ones(model.n)
-    x0 = np.asarray(x0, dtype=float)
-    w = np.ones(2)
-    if model.is_lv:
-        b = -np.diag(model.drift.B)
-        if np.all(b > 0.0):
-            w = np.array([b[1], b[0]])
-    # the ensemble terminal of a blown path is one post-threshold Euler step,
-    # numerically stiff and meaningless as a state; the slope is measured on
-    # the probe paths the ensemble stores, at half the halt time
-    # (pre-explosion); the first aborted probe in id order raises
-    n_probe = min(32, cfg.n_paths)
-    stats = simulate_ensemble(model, x0, cfg, keep=n_probe)
-    y0 = np.log(x0)
-    slopes = np.empty(n_probe)
-    for pid, traj in enumerate(stats.paths):
-        if traj.error is not None:
-            raise EngineError(traj.error)
-        last = traj.log_states.shape[0] - 1
-        idx = max(1, last // 2) if traj.blowup_time is not None else last
-        slopes[pid] = float(w @ (traj.log_states[idx] - y0)) / traj.times[idx]
-    mean = float(slopes.mean())
-    se = float(slopes.std(ddof=1) / np.sqrt(n_probe)) if n_probe > 1 else float("nan")
-    frac = float(np.mean(np.isfinite(stats.blowup_time)))
-    halted = stats.blowup_time[np.isfinite(stats.blowup_time)]
-    return {
-        "weights": [float(v) for v in w],
-        "slope_mean": mean,
-        "slope_se": se,
-        "blowup_fraction": frac,
-        "median_halt_time": float(np.median(halted)) if halted.size else None,
-        "stats": stats,
-    }
+    _, x0, stats = _ensemble(model, cfg, x0, probes=True)
+    return {**_signature(model, stats, x0, classify_paths(stats, {})[0]), "stats": stats}
 
 
 # ---------------------------------------------------------------------------
-# per-verdict evidence
+# per-verdict evidence: each grader returns (checks, report fields)
 
-def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list, list, dict]:
-    checks = []
-    frac_blow = float(np.mean(np.isfinite(stats.blowup_time)))
-    checks.append(CheckResult(
-        name="no_blowup_paths",
-        status="pass" if frac_blow == 0.0 else "FAILED",
-        detail="a persistent system must not explode",
-        values={"blowup_fraction": frac_blow}))
-
-    counts, _ = classify_paths(stats, {})
-    n_interior = counts["interior"]
-    checks.append(CheckResult(
+def _grade_persistent(model, stats: EnsembleStats, counts: dict,
+                      mean: np.ndarray, se: np.ndarray) -> tuple[list, dict]:
+    checks = [CheckResult(
         name="paths_stay_interior",
-        status="pass" if n_interior == stats.n_paths else "FAILED",
+        status="pass" if counts["interior"] == stats.n_paths else "FAILED",
         detail="no species may sit below the extinction threshold at the horizon",
-        values={"interior": n_interior, "total": stats.n_paths}))
+        values={"interior": counts["interior"], "total": stats.n_paths})]
 
-    mean, se = stats.exponent_summary()
     for i in range(model.n):
         bad = np.isfinite(mean[i]) and np.isfinite(se[i]) and mean[i] + 3.0 * se[i] < 0.0
         checks.append(CheckResult(
@@ -264,10 +258,8 @@ def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list, list
             detail="empirical growth exponent must not be significantly negative",
             values={"mean": float(mean[i]), "se": float(se[i])}))
 
-    curve = []
     wins = stats.window_histograms
-    for a, b in zip(wins, wins[1:]):
-        curve.append(tv_distance(a, b))
+    curve = [tv_distance(a, b) for a, b in zip(wins, wins[1:])]
     if curve:
         # the curve hovers at an MC noise floor once stationary, so a strict
         # final <= first comparison is a coin flip; growth only counts when
@@ -279,7 +271,7 @@ def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list, list
             status="pass" if ok else "FAILED",
             detail=("successive-window total variation must end below 0.05 "
                     "and not climb clear of its settled floor"),
-            values={"curve": [float(v) for v in curve]}))
+            values={"curve": curve}))
 
     if model.is_lv:
         try:
@@ -297,27 +289,17 @@ def _verify_persistent(model, verdict, stats: EnsembleStats) -> tuple[list, list
                 name="interior_moments_match_equilibrium", status="flag",
                 detail=f"no solvable interior equilibrium to compare against: {exc}",
                 values={}))
-    return checks, curve, counts
+    return checks, {"tv_curve": curve}
 
 
-def _verify_extinction(model, verdict, stats: EnsembleStats
-                       ) -> tuple[list[CheckResult], list[BasinEstimate], dict, bool]:
-    checks = []
-    estimates, counts, labels, low_conf = estimate_basin_probabilities(stats, verdict)
-
-    frac_blow = counts["blow-up"] / stats.n_paths
-    checks.append(CheckResult(
-        name="no_blowup_paths",
-        status="pass" if counts["blow-up"] == 0 else "FAILED",
-        detail="an extinction verdict must not explode",
-        values={"blowup_fraction": frac_blow}))
-
+def _grade_extinction(verdict, stats: EnsembleStats, counts: dict, labels: np.ndarray,
+                      basins: list, low_conf: bool) -> tuple[list, dict]:
     assigned = sum(counts[t.measure.key] for t in verdict.targets)
-    checks.append(CheckResult(
+    checks = [CheckResult(
         name="paths_reach_predicted_sinks",
         status="pass" if assigned > 0 else "FAILED",
         detail="at least some paths must land in a predicted sink",
-        values={"assigned": assigned, "total": stats.n_paths}))
+        values={"assigned": assigned, "total": stats.n_paths})]
     if low_conf:
         checks.append(CheckResult(
             name="unassigned_fraction", status="flag",
@@ -346,13 +328,13 @@ def _verify_extinction(model, verdict, stats: EnsembleStats
                 status="pass" if ok else "FAILED",
                 detail="measured log-slope must match the predicted rate within 3 SE",
                 values={"measured": m, "se": se, "predicted": float(lam)}))
-    return checks, estimates, counts, low_conf
+    return checks, {"basins": basins, "low_confidence": low_conf}
 
 
-def _verify_blowup(model, verdict, cfg, x0) -> tuple[list[CheckResult], dict, EnsembleStats]:
-    sig = detect_blowup_signature(model, cfg, x0)
-    stats = sig.pop("stats")
-    checks = [
+def _grade_blowup(model, stats: EnsembleStats, counts: dict,
+                  x0: np.ndarray) -> tuple[list, dict]:
+    sig = _signature(model, stats, x0, counts)
+    return [
         CheckResult(
             name="blowup_fraction",
             status="pass" if sig["blowup_fraction"] >= 0.99 else "FAILED",
@@ -366,8 +348,7 @@ def _verify_blowup(model, verdict, cfg, x0) -> tuple[list[CheckResult], dict, En
             detail="weighted log-total slope must be positive beyond 3 SE",
             values={"slope": sig["slope_mean"], "se": sig["slope_se"],
                     "weights": sig["weights"]}),
-    ]
-    return checks, sig, stats
+    ], {}
 
 
 def verify_verdict(model: KolmogorovModel, verdict: Verdict,
@@ -376,31 +357,29 @@ def verify_verdict(model: KolmogorovModel, verdict: Verdict,
     """Simulate and grade the verdict's claims; returns the evidence report."""
     if verdict.kind == "Inconclusive":
         raise VerifyError("an Inconclusive verdict makes no claim to verify")
-    cfg = cfg or SimConfig()
-    if x0 is None:
-        x0 = np.ones(model.n)
-    x0 = np.asarray(x0, dtype=float)
-
-    notes: list[str] = []
-    basins: list[BasinEstimate] = []
-    tv_curve: list = []
-    low_conf = False
-
-    if verdict.kind == "BlowUpRisk":
-        checks, sig, stats = _verify_blowup(model, verdict, cfg, x0)
-        counts, _ = classify_paths(stats, {})
-    else:
-        stats = simulate_ensemble(model, x0, cfg)
-        if stats.path_errors:
-            pid, msg = next(iter(stats.path_errors.items()))
-            notes.append(f"{len(stats.path_errors)} paths aborted on evaluation "
-                         f"errors (first: path {pid}: {msg})")
-        if verdict.kind == "Persistent":
-            checks, tv_curve, counts = _verify_persistent(model, verdict, stats)
-        else:
-            checks, basins, counts, low_conf = _verify_extinction(model, verdict, stats)
-
+    cfg, x0, stats = _ensemble(model, cfg, x0, probes=verdict.kind == "BlowUpRisk")
+    notes = []
+    if stats.path_errors:
+        pid, msg = next(iter(stats.path_errors.items()))
+        notes.append(f"{len(stats.path_errors)} paths aborted on evaluation "
+                     f"errors (first: path {pid}: {msg})")
+    basins, counts, labels, low_conf = estimate_basin_probabilities(stats, verdict)
     mean, se = stats.exponent_summary()
+
+    if verdict.kind == "Persistent":
+        checks, fields = _grade_persistent(model, stats, counts, mean, se)
+    elif verdict.kind == "Extinction":
+        checks, fields = _grade_extinction(verdict, stats, counts, labels, basins, low_conf)
+    else:
+        checks, fields = _grade_blowup(model, stats, counts, x0)
+    if verdict.kind != "BlowUpRisk":
+        claim = "a persistent system" if verdict.kind == "Persistent" else "an extinction verdict"
+        checks.insert(0, CheckResult(
+            name="no_blowup_paths",
+            status="pass" if counts["blow-up"] == 0 else "FAILED",
+            detail=f"{claim} must not explode",
+            values={"blowup_fraction": counts["blow-up"] / stats.n_paths}))
+
     return EnsembleReport(
         verdict_kind=verdict.kind,
         status="FAILED" if any(c.status == "FAILED" for c in checks) else "PASSED",
@@ -411,9 +390,7 @@ def verify_verdict(model: KolmogorovModel, verdict: Verdict,
         exponent_mean=[float(v) for v in mean],
         exponent_se=[float(v) for v in se],
         checks=checks,
-        basins=basins,
-        tv_curve=[float(v) for v in tv_curve],
-        low_confidence=low_conf,
         notes=notes,
         stats=stats,
+        **fields,
     )

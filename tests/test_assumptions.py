@@ -71,6 +71,14 @@ def test_state_dependent_but_bounded_below():
 
 
 
+def test_tied_smallest_eigenvalue_names_the_first_point():
+    # g1 vanishes at exactly two sample points, the grid corners (10, 0)
+    # and (10, 10), in that order
+    chk = check_nondegeneracy(general(["1 - x1", "1 - x2"],
+                                      ["(x1 - 10)*(x1 - 10) + x2*(10 - x2)", "1"]))
+    assert chk.status == "fail"
+    assert chk.witness == {"point": [10.0, 0.0], "eigenvalue": 0.0}
+
 def test_state_dependent_noise_probes_at_most_the_grid_budget():
     # 16 species: the full grid has 2^16 points, one model evaluation each,
     # over the budget; the origin, the 16 axis points and the random fill

@@ -532,3 +532,24 @@ def test_face_lattice_over_the_budget_is_refused():
     with pytest.raises(MeasureError, match="15 species have 32766 boundary faces, "
                                            "over the face budget of 16382"):
         discover_boundary(lv_community("competitive", 15, seed=0))
+
+
+def test_a_face_too_short_for_its_batches_is_unresolved(bundled):
+    # the face_mc benchmark's competitive community in expression form: one
+    # path of 10 post-burn-in steps cannot fill 20 batches, so the face is
+    # refused rather than averaging empty batches into nan rates
+    from stokolmo.classify import classify
+    a = [3.0, 3.0, 3.0]
+    B = [[-2.0, -0.5, -0.5], [-0.5, -2.0, -0.5], [-0.5, -0.5, -2.0]]
+    f = [f"{a[i]}" + "".join(f" + ({B[i][j]})*x{j + 1}" for j in range(3)) for i in range(3)]
+    budget = AnalysisBudget(face_sim=SimConfig(n_paths=1, t_max=0.1, dt=0.01, burn_in=0.0))
+    v = classify(parse_model(json.dumps(
+        {"n": 3, "general": {"f": f, "g": ["1"] * 3}, "sigma": np.eye(3).tolist()})), budget)
+    assert v.kind == "Inconclusive"
+    assert v.refusal.reason == (
+        "boundary face {1, 2} unresolved: face {1, 2}: 10 steps past burn-in "
+        "cannot fill 20 batches per path")
+    # a Lotka-Volterra model needs no Monte Carlo face under the same budget
+    lv = parse_model(json.dumps({"n": 3, "lv": {"a": a, "B": B, "g": [1.0] * 3},
+                                 "sigma": np.eye(3).tolist()}))
+    assert classify(lv, budget).kind == "Persistent"

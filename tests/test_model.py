@@ -257,6 +257,28 @@ def test_drift_rows_keep_the_bits_of_single_points_in_any_memory_order(doc):
             assert np.ascontiguousarray(out).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_lv_drift_sums_in_the_engine_order_in_any_layout(n):
+    # the engine's in-place LV step sums a_i + x_0 B_i0 + x_1 B_i1 + ... in
+    # this order, so drift_at must give those bits for every input layout
+    rng = np.random.default_rng(n)
+    a, B = rng.normal(size=n), rng.normal(size=(n, n))
+    m = parse({"n": n, "lv": {"a": a.tolist(), "B": B.tolist(), "g": [1.0] * n},
+               "sigma": np.eye(n).tolist()})
+    x = rng.uniform(0.0, 5.0, size=(9, n))
+    ref = np.empty_like(x)
+    for p in range(x.shape[0]):
+        for i in range(n):
+            s = float(a[i])
+            for j in range(n):
+                s += float(x[p, j]) * float(B[i, j])
+            ref[p, i] = s
+    for batch in (x, np.asfortranarray(x), np.ascontiguousarray(x.T).T):
+        assert np.ascontiguousarray(m.drift_at(batch)).tobytes() == ref.tobytes()
+    for p in range(x.shape[0]):
+        assert m.drift_at(x[p]).tobytes() == ref[p].tobytes()
+
+
 # -- cholesky ----------------------------------------------------------------
 
 def test_cholesky_reproduces_sigma():

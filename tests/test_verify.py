@@ -100,13 +100,14 @@ def test_classify_paths_sorting():
                [-25.0, 0.4],      # species 1 extinct -> sink A
                [-25.0, -30.0],    # both extinct: not a predicted set
                [5.0, 5.0],        # blown up (flag wins over state)
-               [0.2, -40.0]],     # species 2 extinct -> sink B
-        blowup_time=[np.nan, np.nan, np.nan, 1.2, np.nan])
+               [0.2, -40.0],      # species 2 extinct -> sink B
+               [-25.0, 0.4]],     # blown up below the threshold: still blown
+        blowup_time=[np.nan, np.nan, np.nan, 1.2, np.nan, 0.7])
     counts, labels = classify_paths(
         stats, {"A": frozenset({0}), "B": frozenset({1})})
-    assert counts == {"A": 1, "B": 1, "interior": 1, "blow-up": 1,
+    assert counts == {"A": 1, "B": 1, "interior": 1, "blow-up": 2,
                       "unassigned": 1}
-    assert list(labels) == ["interior", "A", "unassigned", "blow-up", "B"]
+    assert list(labels) == ["interior", "A", "unassigned", "blow-up", "B", "blow-up"]
     assert sum(counts.values()) == stats.n_paths
 
 
@@ -146,19 +147,25 @@ def test_verify_validates_x0(bundled, verdict_of):
                        x0=np.array([1.0, -1.0]))
 
 
-def test_persistent_verify_sorts_the_paths_once(bundled, verdict_of, monkeypatch):
-    sorted_stats = []
-
-    def counted(stats, sinks):
-        sorted_stats.append(stats)
-        return classify_paths(stats, sinks)
-
-    monkeypatch.setattr(verify, "classify_paths", counted)
+@pytest.mark.parametrize("name,kind", [("lv_coexist", "Persistent"),
+                                       ("lv_single_extinct", "Extinction"),
+                                       ("coop_blowup", "BlowUpRisk")])
+def test_verify_sorts_the_paths_once(bundled, verdict_of, monkeypatch, name, kind):
+    # every verdict kind: one ensemble pass and one sort of its paths
+    ensembles, sorted_stats = [], []
+    simulate, sort = verify.simulate_ensemble, verify.classify_paths
+    monkeypatch.setattr(verify, "simulate_ensemble",
+                        lambda *a, **kw: ensembles.append(1) or simulate(*a, **kw))
+    monkeypatch.setattr(verify, "classify_paths",
+                        lambda stats, sinks: sorted_stats.append(stats) or sort(stats, sinks))
     cfg = SimConfig(n_paths=8, t_max=20.0, burn_in=2.0, seed=0)
-    rep = verify_verdict(bundled["lv_coexist"], verdict_of("lv_coexist"), cfg)
-    assert rep.verdict_kind == "Persistent"
+    verdict = verdict_of(name)
+    rep = verify_verdict(bundled[name], verdict, cfg)
+    assert rep.verdict_kind == kind
+    assert len(ensembles) == 1
     assert len(sorted_stats) == 1 and sorted_stats[0] is rep.stats
-    assert rep.path_classes == classify_paths(rep.stats, {})[0]
+    sinks = {t.measure.key: frozenset(t.extinct) for t in verdict.targets}
+    assert rep.path_classes == sort(rep.stats, sinks)[0]
 
 
 def test_verify_extinction_report(bundled, verdict_of):
