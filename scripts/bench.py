@@ -96,7 +96,7 @@ ENGINE_PLAN = (
 
 VERIFY_PATHS = 64
 VERIFY_T = 240.0
-VERIFY_ROUNDS = 3   # classify + verify runs per model and checkout; the median counts
+VERIFY_ROUNDS = 5   # classify + verify runs per model and checkout; the median counts
 
 
 def lv_doc(a, B, s) -> dict:
@@ -415,8 +415,8 @@ def verify_section(against) -> dict:
     order = list(range(len(packages)))
     for r in range(VERIFY_ROUNDS):
         for m, name in enumerate(MODELS):
-            order.reverse()
-            for k in order:
+            # the first package flips from model to model and round to round
+            for k in (order if (r + m) % 2 == 0 else order[::-1]):
                 pkg = packages[k]
                 model = pkg.load_model(str(ROOT / "models" / f"{name}.json"))
                 cfg = pkg.SimConfig(t_max=VERIFY_T, burn_in=min(50.0, 0.1 * VERIFY_T),
