@@ -45,11 +45,11 @@ Timings taken in separate runs drift with the host's speed.  --against
 CHECKOUT loads that checkout's package beside this one and times both
 on every table or model back to back, in alternating order.  An LP shape
 also gets that solver's median and the median over its tables of the
-per-table time ratio; a classify or engine model gets the other time, the
-median over rounds of the time ratio (this checkout over the other) and
-whether both gave the same verdict document, the same bits in every
-array of the ensemble statistics and the same path errors, or the same
-canonical JSON of the verdict and verification documents.
+per-table time ratio; a classify, engine or verify model gets the other
+time, the median over rounds of the time ratio (this checkout over the
+other) and whether both gave the same verdict document, the same bits in
+every array of the ensemble statistics and the same path errors, or the
+same canonical JSON of the verdict and verification documents.
 """
 
 import argparse

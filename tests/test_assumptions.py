@@ -70,7 +70,6 @@ def test_state_dependent_but_bounded_below():
     assert chk.status == "heuristic-pass"
 
 
-
 def test_tied_smallest_eigenvalue_names_the_first_point():
     # g1 vanishes at exactly two sample points, the grid corners (10, 0)
     # and (10, 10), in that order
@@ -78,6 +77,21 @@ def test_tied_smallest_eigenvalue_names_the_first_point():
                                       ["(x1 - 10)*(x1 - 10) + x2*(10 - x2)", "1"]))
     assert chk.status == "fail"
     assert chk.witness == {"point": [10.0, 0.0], "eigenvalue": 0.0}
+
+
+def test_state_dependent_probe_matches_the_per_point_loop():
+    # the loop the one-call probe replaced, one evaluation per point, as the
+    # reference for the reported minimum
+    model = general(["1 - x1", "1 - x2", "1 - x3"],
+                    ["0.5 + exp(-x1)", "sqrt(1 + x2*x3)", "0.2 + 0.1*x1^1.5"],
+                    sigma=[[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    pts = assumptions._sample_points(3)
+    worst = min(float(np.linalg.eigvalsh(np.outer(g, g) * model.sigma)[0])
+                for g in (model.noise_amp_at(x) for x in pts))
+    chk = check_nondegeneracy(model)
+    assert chk.status == "heuristic-pass"
+    assert chk.detail == (f"state-dependent amplitudes: sampled minimum eigenvalue "
+                          f"{worst:.6g} over {len(pts)} points in [0, 10.0]^n")
 
 def test_state_dependent_noise_probes_at_most_the_grid_budget():
     # 16 species: the full grid has 2^16 points, one model evaluation each,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokolmo.measures as measures_mod
+from stokolmo.classify import classify
 from stokolmo.engine import EngineError, SimConfig, simulate_path
 from stokolmo.measures import (_BATCHES, FACE_BUDGET, AnalysisBudget, DensityError,
                                ErgodicMeasure,
@@ -534,11 +535,10 @@ def test_face_lattice_over_the_budget_is_refused():
         discover_boundary(lv_community("competitive", 15, seed=0))
 
 
-def test_a_face_too_short_for_its_batches_is_unresolved(bundled):
+def test_a_face_too_short_for_its_batches_is_unresolved():
     # the face_mc benchmark's competitive community in expression form: one
     # path of 10 post-burn-in steps cannot fill 20 batches, so the face is
     # refused rather than averaging empty batches into nan rates
-    from stokolmo.classify import classify
     a = [3.0, 3.0, 3.0]
     B = [[-2.0, -0.5, -0.5], [-0.5, -2.0, -0.5], [-0.5, -0.5, -2.0]]
     f = [f"{a[i]}" + "".join(f" + ({B[i][j]})*x{j + 1}" for j in range(3)) for i in range(3)]
