@@ -282,6 +282,23 @@ def lp_section(against) -> dict:
     return doc
 
 
+def paired_rounds(packages, names, rounds, run):
+    """Time ``run(pkg, k, name)`` for package ``k`` and every name, once per
+    package in each of ``rounds`` rounds.  Which package goes first flips
+    from name to name and from round to round.  Returns the seconds, shaped
+    (package, name, round), and each (k, name)'s last result."""
+    seconds = np.zeros((len(packages), len(names), rounds))
+    results = {}
+    order = list(range(len(packages)))
+    for r in range(rounds):
+        for m, name in enumerate(names):
+            for k in (order if (r + m) % 2 == 0 else order[::-1]):
+                t0 = time.perf_counter()
+                results[k, name] = run(packages[k], k, name)
+                seconds[k, m, r] = time.perf_counter() - t0
+    return seconds, results
+
+
 def lp_counts(pkg, model) -> dict:
     """LP calls of one classify, faces discovery examined, and how many of
     those it decided without an LP."""
@@ -301,24 +318,15 @@ def lp_counts(pkg, model) -> dict:
 
 
 def classify_section(against) -> dict:
-    """Median ``classify`` time per model; every round runs each model once
-    per package, in alternating order."""
+    """Median ``classify`` time per model (rounds as in :func:`paired_rounds`)."""
     packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
     plan = communities(SEEDS) + [("competitive_12", twelve_species())]
     models = {(k, name): pkg.parse_model(json.dumps(doc))
               for k, pkg in enumerate(packages) for name, doc in plan}
-    seconds = np.zeros((len(packages), len(plan), CLASSIFY_ROUNDS))
-    verdicts = {}
-    order = list(range(len(packages)))
-    for r in range(CLASSIFY_ROUNDS):
-        for m, (name, _) in enumerate(plan):
-            order.reverse()
-            for k in order:
-                pkg = packages[k]
-                t0 = time.perf_counter()
-                v = pkg.classify(models[k, name], pkg.AnalysisBudget())
-                seconds[k, m, r] = time.perf_counter() - t0
-                verdicts[k, name] = json.dumps(v.to_json_dict(), default=float)
+    seconds, results = paired_rounds(
+        packages, [name for name, _ in plan], CLASSIFY_ROUNDS,
+        lambda pkg, k, name: pkg.classify(models[k, name], pkg.AnalysisBudget()))
+    verdicts = {key: json.dumps(v.to_json_dict(), default=float) for key, v in results.items()}
     out = {}
     for m, (name, _) in enumerate(plan):
         med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
@@ -362,28 +370,19 @@ def same_bits(a, b) -> bool:
 
 
 def engine_section(against) -> dict:
-    """Median Mpath-steps/s of ``simulate_ensemble`` per model; every round
-    runs each model once per package, in alternating order."""
+    """Median Mpath-steps/s of ``simulate_ensemble`` per model (rounds as
+    in :func:`paired_rounds`)."""
     packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
-    models = {}
-    for pkg in packages:
-        for name, _, _ in ENGINE_PLAN:
-            models[pkg, name] = pkg.load_model(str(ROOT / "models" / f"{name}.json"))
-    seconds = np.zeros((len(packages), len(ENGINE_PLAN), ENGINE_ROUNDS))
-    results = {}
-    order = list(range(len(packages)))
-    for r in range(ENGINE_ROUNDS):
-        for m, (name, horizon, seed) in enumerate(ENGINE_PLAN):
-            order.reverse()
-            for k in order:
-                pkg = packages[k]
-                model = models[pkg, name]
-                cfg = pkg.SimConfig(dt=ENGINE_DT, t_max=horizon, burn_in=min(50.0, 0.1 * horizon),
-                                    n_paths=ENGINE_PATHS, seed=seed)
-                t0 = time.perf_counter()
-                stats = pkg.simulate_ensemble(model, np.ones(model.n), cfg)
-                seconds[k, m, r] = time.perf_counter() - t0
-                results[k, name] = stats
+    models, cfgs = {}, {}
+    for k, pkg in enumerate(packages):
+        for name, horizon, seed in ENGINE_PLAN:
+            models[k, name] = pkg.load_model(str(ROOT / "models" / f"{name}.json"))
+            cfgs[k, name] = pkg.SimConfig(dt=ENGINE_DT, t_max=horizon, n_paths=ENGINE_PATHS,
+                                          burn_in=min(50.0, 0.1 * horizon), seed=seed)
+    seconds, results = paired_rounds(
+        packages, [name for name, _, _ in ENGINE_PLAN], ENGINE_ROUNDS,
+        lambda pkg, k, name: pkg.simulate_ensemble(models[k, name],
+                                                   np.ones(models[k, name].n), cfgs[k, name]))
     out = {}
     for m, (name, horizon, seed) in enumerate(ENGINE_PLAN):
         stats = results[0, name]
@@ -405,30 +404,27 @@ def engine_section(against) -> dict:
 
 
 def verify_section(against) -> dict:
-    """Median ``classify`` + ``verify_verdict`` time per model; every round
-    runs each model once per package, in alternating order."""
+    """Median ``classify`` + ``verify_verdict`` time per model (rounds as in
+    :func:`paired_rounds`)."""
     sys.path.insert(0, str(ROOT / "scripts"))
     from run_examples import MODELS
     packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
-    seconds = np.zeros((len(packages), len(MODELS), VERIFY_ROUNDS))
-    reports = {}
-    order = list(range(len(packages)))
-    for r in range(VERIFY_ROUNDS):
-        for m, name in enumerate(MODELS):
-            # the first package flips from model to model and round to round
-            for k in (order if (r + m) % 2 == 0 else order[::-1]):
-                pkg = packages[k]
-                model = pkg.load_model(str(ROOT / "models" / f"{name}.json"))
-                cfg = pkg.SimConfig(t_max=VERIFY_T, burn_in=min(50.0, 0.1 * VERIFY_T),
-                                    n_paths=VERIFY_PATHS, seed=0)
-                t0 = time.perf_counter()
-                verdict = pkg.classify(model, pkg.AnalysisBudget())
-                ver = (None if verdict.kind == "Inconclusive"
-                       else pkg.verify_verdict(model, verdict, cfg))
-                seconds[k, m, r] = time.perf_counter() - t0
-                reports[k, name] = (verdict.kind, ver and ver.status, pkg.canonical_json(
-                    {"verdict": verdict.to_json_dict(),
-                     "verification": ver and ver.to_json_dict()}))
+    models = {(k, name): pkg.load_model(str(ROOT / "models" / f"{name}.json"))
+              for k, pkg in enumerate(packages) for name in MODELS}
+    cfgs = [pkg.SimConfig(t_max=VERIFY_T, burn_in=min(50.0, 0.1 * VERIFY_T),
+                          n_paths=VERIFY_PATHS, seed=0) for pkg in packages]
+
+    def run(pkg, k, name):
+        verdict = pkg.classify(models[k, name], pkg.AnalysisBudget())
+        ver = (None if verdict.kind == "Inconclusive"
+               else pkg.verify_verdict(models[k, name], verdict, cfgs[k]))
+        return verdict, ver
+
+    seconds, results = paired_rounds(packages, MODELS, VERIFY_ROUNDS, run)
+    reports = {key: (verdict.kind, ver and ver.status, packages[key[0]].canonical_json(
+                         {"verdict": verdict.to_json_dict(),
+                          "verification": ver and ver.to_json_dict()}))
+               for key, (verdict, ver) in results.items()}
     out = {}
     for m, name in enumerate(MODELS):
         kind, status, _ = reports[0, name]

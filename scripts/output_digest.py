@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests and exit codes of a fixed set of this checkout's outputs.
 
-    python scripts/output_digest.py > digests.json
+    python3 scripts/output_digest.py > DIGEST.json
 
-Diff the output of two checkouts to see whether a change moved any
-verdict or report byte.  The set is:
+Diff the output of two checkouts, or this one's against the committed
+``DIGEST.json``, to see whether a change moved any verdict or report
+byte.  The set is:
 
 - the 16 ``stokolmo verify`` reports of the benchmark's verify_ensemble
   plan (``perfbench/workloads.py``: 8 bundled models, 128 paths, two
@@ -29,8 +30,11 @@ verdict or report byte.  The set is:
 
 The CLI commands and library calls run in this process against this
 checkout's ``src/``; ``run_examples.py`` runs as a child process and
-writes ``reports/`` as it always does.  The whole set takes a few
-minutes on 2 CPUs.
+writes ``reports/`` as it always does.  The whole set takes about a
+minute on 2 CPUs.  The entries that run no ensemble
+(:func:`static_digests`) are recomputed by ``tests/test_digest.py`` and
+compared with ``DIGEST.json``; the simulated ones
+(:func:`simulated_digests`) are checked by a full run of this script.
 """
 
 import contextlib
@@ -177,65 +181,76 @@ def example_outputs() -> dict:
     return digests
 
 
-def main() -> int:
+def static_digests(work: pathlib.Path) -> dict:
+    """The entries that run no ensemble: ``check/``, ``classify/``,
+    ``foodchain/`` and ``diagnostics/``, written through ``work``."""
     digests = {}
+    for path in sorted((ROOT / "models").glob("*.json")):
+        commands = ["foodchain"] if "a10" in json.loads(path.read_text()) \
+            else ["check", "classify"]
+        for command in commands:
+            digests[f"{command}/{path.stem}"] = cli_output([command, str(path)],
+                                                           work / "out")
+    for name, doc in workloads.lattice_inputs(3):
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        digests[f"classify/lattice3/{name}"] = cli_output(["classify", str(path)],
+                                                          work / "out")
+    path = work / "community15.json"
+    rng = np.random.default_rng(0)
+    B = -rng.uniform(0.0, 0.1, (15, 15))
+    np.fill_diagonal(B, -1.0)
+    path.write_text(json.dumps({"n": 15, "lv": {"a": [1.0] * 15, "B": B.tolist(),
+                                                "g": [1.0] * 15},
+                                "sigma": np.eye(15).tolist()}))
+    digests["classify/face_budget15"] = cli_output(["classify", str(path)], work / "out")
+    for name, (loss, intra, death) in CHAINS.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps({"n": 3, "a10": 4.0, "death": death,
+                                    "prey_gain": [2.0, 1.0], "loss": loss,
+                                    "intra": intra, "sigma_diag": [1.0] * 3}))
+        digests[f"foodchain/{name}"] = cli_output(["foodchain", str(path)], work / "out")
+    for name, argv in BAD_ARGV.items():
+        digests[f"diagnostics/{name}"] = diagnostic(argv)
+    for name, (f, g, argv) in BAD_MODELS.items():
+        path = work / "bad.json"
+        path.write_text(json.dumps({"n": 1, "general": {"f": [f], "g": [g]},
+                                    "sigma": [[1.0]]}))
+        digests[f"diagnostics/{name}"] = diagnostic(argv[:1] + [str(path)] + argv[1:])
+    for name, (data, command) in BAD_FILES.items():
+        path = work / "bad.json"
+        path.write_bytes(data)
+        digests[f"diagnostics/{name}"] = diagnostic([command, str(path)])
+    return digests
+
+
+def simulated_digests(work: pathlib.Path) -> dict:
+    """The entries that simulate: ``verify/``, ``simulate/``, ``face_mc/``
+    and ``examples/``, written through ``work``."""
+    digests = {}
+    for name, horizon, seeds in workloads.VERIFY_PLAN:
+        for seed in seeds:
+            argv = ["verify", str(ROOT / "models" / f"{name}.json"), "--t", repr(horizon),
+                    "--paths", str(workloads.VERIFY_PATHS), "--seed", str(seed)]
+            digests[f"verify/{name}/seed{seed}"] = cli_output(argv, work / "out")
+    for name in SIMULATED:
+        argv = ["simulate", str(ROOT / "models" / f"{name}.json")]
+        digests[f"simulate/{name}"] = cli_output(argv, work / "out")
+    for name, a, B, _ in workloads.FACE_MC_PLAN:
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(workloads.general_doc(a, B)))
+        for seed in FACE_SEEDS:
+            digests[f"face_mc/{name}/seed{seed}"] = verdict_output(path, seed)
+    digests.update(example_outputs())
+    return digests
+
+
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        for name, horizon, seeds in workloads.VERIFY_PLAN:
-            for seed in seeds:
-                argv = ["verify", str(ROOT / "models" / f"{name}.json"), "--t", repr(horizon),
-                        "--paths", str(workloads.VERIFY_PATHS), "--seed", str(seed)]
-                digests[f"verify/{name}/seed{seed}"] = cli_output(argv, work / "out")
-        for name in SIMULATED:
-            argv = ["simulate", str(ROOT / "models" / f"{name}.json")]
-            digests[f"simulate/{name}"] = cli_output(argv, work / "out")
-        for name, a, B, _ in workloads.FACE_MC_PLAN:
-            path = work / f"{name}.json"
-            path.write_text(json.dumps(workloads.general_doc(a, B)))
-            for seed in FACE_SEEDS:
-                digests[f"face_mc/{name}/seed{seed}"] = verdict_output(path, seed)
-        for path in sorted((ROOT / "models").glob("*.json")):
-            commands = ["foodchain"] if "a10" in json.loads(path.read_text()) \
-                else ["check", "classify"]
-            for command in commands:
-                digests[f"{command}/{path.stem}"] = cli_output([command, str(path)],
-                                                               work / "out")
-        for name, doc in workloads.lattice_inputs(3):
-            path = work / f"{name}.json"
-            path.write_text(json.dumps(doc))
-            digests[f"classify/lattice3/{name}"] = cli_output(["classify", str(path)],
-                                                              work / "out")
-        path = work / "community15.json"
-        rng = np.random.default_rng(0)
-        B = -rng.uniform(0.0, 0.1, (15, 15))
-        np.fill_diagonal(B, -1.0)
-        path.write_text(json.dumps({"n": 15, "lv": {"a": [1.0] * 15, "B": B.tolist(),
-                                                    "g": [1.0] * 15},
-                                    "sigma": np.eye(15).tolist()}))
-        digests["classify/face_budget15"] = cli_output(["classify", str(path)],
-                                                       work / "out")
-        for name, (loss, intra, death) in CHAINS.items():
-            path = work / f"{name}.json"
-            path.write_text(json.dumps({"n": 3, "a10": 4.0, "death": death,
-                                        "prey_gain": [2.0, 1.0], "loss": loss,
-                                        "intra": intra, "sigma_diag": [1.0] * 3}))
-            digests[f"foodchain/{name}"] = cli_output(["foodchain", str(path)],
-                                                      work / "out")
-        for name, argv in BAD_ARGV.items():
-            digests[f"diagnostics/{name}"] = diagnostic(argv)
-        for name, (f, g, argv) in BAD_MODELS.items():
-            path = work / "bad.json"
-            path.write_text(json.dumps({"n": 1, "general": {"f": [f], "g": [g]},
-                                        "sigma": [[1.0]]}))
-            digests[f"diagnostics/{name}"] = diagnostic(argv[:1] + [str(path)] + argv[1:])
-        for name, (data, command) in BAD_FILES.items():
-            path = work / "bad.json"
-            path.write_bytes(data)
-            digests[f"diagnostics/{name}"] = diagnostic([command, str(path)])
-    digests.update(example_outputs())
+        digests = {**static_digests(work), **simulated_digests(work)}
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

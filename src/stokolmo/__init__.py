@@ -18,8 +18,6 @@ from .measures import (
     InvasionRateTable,
     StationaryDensity1D,
     discover_boundary,
-    find_boundary_measures,
-    invasion_rates,
     lv_face_equilibrium,
     stationary_density_1d,
 )
@@ -28,7 +26,6 @@ from .classify import (
     PersistenceCertificate,
     PersistenceRefusal,
     Verdict,
-    check_extinction_measure,
     check_persistence,
     classify,
     maximin_weights,
@@ -69,8 +66,6 @@ __all__ = [
     "InvasionRateTable",
     "StationaryDensity1D",
     "discover_boundary",
-    "find_boundary_measures",
-    "invasion_rates",
     "lv_face_equilibrium",
     "stationary_density_1d",
     "Verdict",
@@ -79,7 +74,6 @@ __all__ = [
     "MeasurePartition",
     "maximin_weights",
     "check_persistence",
-    "check_extinction_measure",
     "partition_measures",
     "classify",
     "AssumptionReport",

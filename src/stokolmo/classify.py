@@ -170,7 +170,7 @@ class Verdict:
 
 def maximin_weights(table: InvasionRateTable) -> tuple[np.ndarray, float]:
     """Optimal species weights and margin over the whole measure table."""
-    return solve_maximin(table.rates_for_lp())
+    return solve_maximin(table.lp_view()[0])
 
 
 def check_persistence(table: InvasionRateTable) -> PersistenceCertificate | PersistenceRefusal:
@@ -216,40 +216,30 @@ def check_persistence(table: InvasionRateTable) -> PersistenceCertificate | Pers
 # ---------------------------------------------------------------------------
 # extinction partition
 
-def check_extinction_measure(table: InvasionRateTable, k: int) -> tuple[str, str]:
-    """('sink'|'other'|'undecided', reason) for measure k of the table.
-
-    The table must come from discovery, which admitted measure k only
-    when its survivors passed their own persistence test (module docs);
-    so only the rates of the species outside the support are read here.
-    """
-    mu = table.measures[k]
-    unknown = table.lp_view([k])[2]
-    if unknown is not None:
-        return "undecided", (f"invasion rate of species {unknown[1] + 1} against {mu.key} "
-                             "is not sign-decidable at this budget")
-    worst = table.rates[k, ~table.on_support[k]].max(initial=-np.inf)
-    if worst >= 0.0:
-        return "other", (
-            f"some outside species invades {mu.key} (max rate {worst:.4g})")
-    return "sink", ""
-
-
 def partition_measures(table: InvasionRateTable) -> MeasurePartition:
-    """Split the measure table into sinks, repelled measures, and undecided."""
+    """Split the measure table into sinks, repelled measures, and undecided.
+
+    The table must come from discovery, which admitted each measure only
+    when its survivors passed their own persistence test (module docs);
+    so only the rates of the species outside each support are read here.
+    """
+    rates, ci, _ = table.lp_view()
+    unknown = (ci > 0.0) & (np.abs(rates) <= ci)
+    worst = np.where(table.on_support, -np.inf, rates).max(axis=1)
     sinks: list[str] = []
     others: list[str] = []
     others_idx: list[int] = []
     undecided: list[tuple[str, str]] = []
     for k, mu in enumerate(table.measures):
-        cls, reason = check_extinction_measure(table, k)
-        if cls == "sink":
-            sinks.append(mu.key)
-        elif cls == "other":
+        if unknown[k].any():
+            i = int(np.argmax(unknown[k]))
+            undecided.append((mu.key, f"invasion rate of species {i + 1} against {mu.key} "
+                                      "is not sign-decidable at this budget"))
+        elif worst[k] >= 0.0:
             others.append(mu.key)
             others_idx.append(k)
         else:
-            undecided.append((mu.key, reason))
+            sinks.append(mu.key)
 
     if not others_idx:
         return MeasurePartition(sinks, others, undecided, "vacuous")

@@ -117,14 +117,6 @@ class FoodChainVerdict:
         }
 
 
-def chain_matrix(params: FoodChainParams, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The depth-level tridiagonal system T x = b for the segment {1..depth}:
-    the chain model's face block (B[:depth, :depth], -r(0)[:depth])."""
-    model = foodchain_to_model(params)
-    return (model.drift.B[:depth, :depth].copy(),
-            -model.growth_rate_origin()[:depth])
-
-
 _BORDERLINE_TOL = 1e-9    # a rate this close to zero is too close to classify
 
 

@@ -21,8 +21,10 @@ when the subsystem restricted to it passes the maximin persistence test
 against the measures already found on its own boundary; the measure is
 then represented analytically (Lotka-Volterra moments), by quadrature
 (one-dimensional stationary density), or by Monte Carlo occupation, in
-that order of preference.  Anything that cannot be resolved marks the
-face, and every superface, as unresolved rather than guessing.
+that order of preference, and its row of the rate table is computed
+from that representation as it is built.  Anything that cannot be
+resolved marks the face, and every superface, as unresolved rather than
+guessing.
 
 Every sign decision is one rule, :func:`maximin_decision`, on a block of
 the rate table: pin on-support rates and half widths to zero, require
@@ -105,12 +107,6 @@ class AnalysisBudget:
 # measure representations
 
 @dataclass
-class EmpiricalPayload:
-    batch_rates: np.ndarray      # (batches, n_full) integrand batch means
-    batch_moments: np.ndarray    # (batches, |face|) state batch means
-
-
-@dataclass
 class ErgodicMeasure:
     """One boundary (or interior) ergodic measure of the system.
 
@@ -125,7 +121,6 @@ class ErgodicMeasure:
     moments: np.ndarray
     moments_ci: np.ndarray | None = None
     density: "StationaryDensity1D | None" = None
-    empirical: EmpiricalPayload | None = None
     residual: float = 0.0        # defining-equation residual for the representation
 
     @property
@@ -412,12 +407,6 @@ class InvasionRateTable:
         self.ci = np.concatenate([self.ci, [ci]])
         self.on_support = np.concatenate([self.on_support, [self._support_row(mu)]])
 
-    def row(self, key: str) -> np.ndarray:
-        for k, mu in enumerate(self.measures):
-            if mu.key == key:
-                return self.rates[k]
-        raise KeyError(key)
-
     def rows_below(self, face) -> np.ndarray:
         """Rows whose measure support is a proper subset of ``face``."""
         face = list(face)
@@ -445,10 +434,6 @@ class InvasionRateTable:
         unknown = np.argwhere((ci > 0.0) & (np.abs(rates) <= ci)) if ci.any() else ()
         first = (int(rows[unknown[0][0]]), int(cols[unknown[0][1]])) if len(unknown) else None
         return rates, ci, first
-
-    def rates_for_lp(self) -> np.ndarray:
-        """Copy of the rate matrix with on-support entries pinned to zero."""
-        return self.lp_view()[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -529,36 +514,6 @@ def _density_rates(model: KolmogorovModel, species: int,
     return rates, cis
 
 
-def measure_rates(model: KolmogorovModel, mu: ErgodicMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Invasion rates of every species against one measure, with half widths."""
-    if mu.kind == "dirac-origin":
-        return model.growth_rate_origin(), np.zeros(model.n)
-    if mu.kind == "lv-moments":
-        return _lv_rates(model, mu.moments), np.zeros(model.n)
-    if mu.kind == "density-1d":
-        return _density_rates(model, mu.support[0], mu.density)
-    if mu.kind == "empirical":
-        br = mu.empirical.batch_rates
-        return br.mean(axis=0), _batch_interval(br)
-    raise MeasureError(f"unknown measure kind {mu.kind}")
-
-
-def invasion_rates(model: KolmogorovModel,
-                   measures: list[ErgodicMeasure]) -> InvasionRateTable:
-    if not measures:
-        raise MeasureError("need at least one measure")
-    rows = []
-    cis = []
-    for mu in measures:
-        r, c = measure_rates(model, mu)
-        rows.append(r)
-        cis.append(c)
-    return InvasionRateTable(
-        measures=list(measures), rates=np.array(rows), ci=np.array(cis),
-        n_species=model.n,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo occupation measure on a face
 
@@ -570,8 +525,9 @@ def _face_seed(base: int, face: tuple[int, ...]) -> int:
 
 
 def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
-                       budget: AnalysisBudget) -> ErgodicMeasure:
-    """Occupation-average representation of a face measure, with batch means."""
+                       budget: AnalysisBudget) -> tuple[ErgodicMeasure, np.ndarray, np.ndarray]:
+    """Occupation-average representation of a face measure, with its
+    invasion rates and their half widths, all from batch means."""
     fmodel = restrict_to_face(model, face)
     cfg = replace(budget.face_sim, seed=_face_seed(budget.face_sim.seed, face))
     per_path = max(1, _BATCHES // cfg.n_paths)
@@ -621,12 +577,12 @@ def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
                 f"zero-rate identity for species {i + 1} ({rate[i]:.4g} beyond its "
                 f"interval {ci[i]:.4g}); the simulation has not equilibrated at "
                 "this budget")
-    return ErgodicMeasure(
+    mu = ErgodicMeasure(
         support=tuple(face), kind="empirical", provenance="monte-carlo",
         moments=moments, moments_ci=moments_ci,
-        empirical=EmpiricalPayload(batch_rates=br, batch_moments=bm),
         residual=float(np.max(np.abs(rate[sel]))),
     )
+    return mu, rate, ci
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +602,23 @@ class BoundaryDiscovery:
 
 
 def _build_face_measure(model: KolmogorovModel, face: tuple[int, ...],
-                        budget: AnalysisBudget) -> ErgodicMeasure:
+                        budget: AnalysisBudget) -> tuple[ErgodicMeasure, np.ndarray, np.ndarray]:
+    """The face's interior measure with its row of invasion rates and half widths."""
     if model.is_lv:
         moments, residual = lv_face_equilibrium(model, face)
-        return ErgodicMeasure(
+        mu = ErgodicMeasure(
             support=face, kind="lv-moments", provenance="analytic",
             moments=moments, residual=residual)
+        return mu, _lv_rates(model, moments), np.zeros(model.n)
     if len(face) == 1:
         fmodel = restrict_to_face(model, face)
         dens = stationary_density_1d(fmodel)
         moments = np.zeros(model.n)
         moments[face[0]] = dens.mean
-        return ErgodicMeasure(
+        mu = ErgodicMeasure(
             support=face, kind="density-1d", provenance="quadrature",
             moments=moments, density=dens, residual=dens.weak_residual)
+        return (mu, *_density_rates(model, face[0], dens))
     return _empirical_measure(model, face, budget)
 
 
@@ -682,9 +641,8 @@ def discover_boundary(model: KolmogorovModel,
     origin = ErgodicMeasure(
         support=(), kind="dirac-origin", provenance="analytic",
         moments=np.zeros(n))
-    r0, c0 = measure_rates(model, origin)
-    table = InvasionRateTable(measures=[origin], rates=r0[None], ci=c0[None],
-                              n_species=n)
+    table = InvasionRateTable(measures=[origin], rates=model.growth_rate_origin()[None],
+                              ci=np.zeros((1, n)), n_species=n)
     unresolved: list[tuple[tuple[int, ...], str]] = []
 
     for size in range(1, n):
@@ -709,11 +667,11 @@ def discover_boundary(model: KolmogorovModel,
                     "Monte Carlo budget")))
             elif decision == "positive":
                 try:
-                    mu = _build_face_measure(model, face, budget)
+                    built = _build_face_measure(model, face, budget)
                 except MeasureError as exc:
                     unresolved.append((face, str(exc)))
                 else:
-                    table.append(mu, *measure_rates(model, mu))
+                    table.append(*built)
             elif decision == "unresolved":
                 unresolved.append((face, (
                     f"subsystem maximin value {d.t_star:.3g} is too close to zero "
@@ -723,12 +681,3 @@ def discover_boundary(model: KolmogorovModel,
     return BoundaryDiscovery(measures=list(table.measures), table=table,
                              unresolved=unresolved)
 
-
-def find_boundary_measures(model: KolmogorovModel,
-                           budget: AnalysisBudget | None = None) -> list[ErgodicMeasure]:
-    """The measure list of :func:`discover_boundary`; unresolved faces raise."""
-    disc = discover_boundary(model, budget)
-    if disc.unresolved:
-        face, reason = disc.unresolved[0]
-        raise MeasureError(f"face {_face_label(face)} unresolved: {reason}")
-    return disc.measures

@@ -19,10 +19,8 @@ from stokolmo.classify import maximin_weights
 from stokolmo.cli import main as cli_main
 from stokolmo import engine
 from stokolmo.engine import SimConfig, simulate_ensemble
-from stokolmo.foodchain import (chain_matrix, classify_food_chain,
-                                foodchain_to_model, load_food_chain)
-from stokolmo.measures import (ErgodicMeasure, InvasionRateTable,
-                               find_boundary_measures, invasion_rates,
+from stokolmo.foodchain import classify_food_chain, foodchain_to_model, load_food_chain
+from stokolmo.measures import (ErgodicMeasure, InvasionRateTable, discover_boundary,
                                stationary_density_1d)
 from stokolmo.verify import detect_blowup_signature, verify_verdict
 from tests.conftest import model_path
@@ -63,8 +61,9 @@ def test_zero_rate_identity_on_support(bundled):
     t0 = time.perf_counter()
     checked = 0
     for name, model in sorted(bundled.items()):
-        measures = find_boundary_measures(model, AnalysisBudget())
-        table = invasion_rates(model, measures)
+        disc = discover_boundary(model, AnalysisBudget())
+        assert not disc.unresolved, name
+        table = disc.table
         for k, mu in enumerate(table.measures):
             for i in mu.support:
                 tol = max(1e-10, float(table.ci[k, i]))
@@ -174,11 +173,13 @@ def test_food_chain_depth_and_agreement():
     assert (vp.kind, vp.j_star, vp.survivors()) == ("Persistent", 3, [1, 2, 3])
     assert (va.kind, va.j_star, va.survivors()) == ("Extinction", 2, [1, 2])
 
-    # the two-level equilibrium both verdicts share
+    # the two-level equilibrium both verdicts share solves the chain
+    # model's face block B x = -r(0) on {1, 2}
+    chain = foodchain_to_model(persist)
+    A, b = chain.drift.B[:2, :2], -chain.growth_rate_origin()[:2]
     for v in (vp, va):
         x2 = np.asarray(v.equilibria[1])
         assert x2 == pytest.approx([5.0 / 3.0, 11.0 / 6.0], rel=1e-9)
-        A, b = chain_matrix(persist, 2)
         assert np.max(np.abs(A @ x2 - b)) < 1e-10
         assert v.residual < 1e-10
 

@@ -46,3 +46,27 @@ def test_tracer_installs_and_restores_every_wrapped_name(tracing):
         assert not hasattr(orig, "__wrapped__"), (owner, attr)
     names = {(getattr(owner, "__name__", ""), attr) for owner, attr, _ in wrapped}
     assert CONTRACT <= names
+
+
+def test_traced_classify_and_verify_read_their_results(tracing, tmp_path):
+    # the tracer's hooks read attributes of the discovery, ensemble and
+    # path results; a traced run fails if one of them is gone
+    from stokolmo import cli
+    from tests.conftest import model_path
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = model_path("lv_coexist")
+        assert cli.main(["classify", model, "--out", str(tmp_path / "c.json")]) == 0
+        # two time units are too short for the verification to pass; it
+        # still runs its ensemble and writes its report
+        assert cli.main(["verify", model, "--t", "2", "--paths", "4",
+                         "--out", str(tmp_path / "v.json")]) in (0, 1)
+    finally:
+        tracer.uninstall()
+    assert (tmp_path / "v.json").exists()
+    metrics = tracer.metrics(1)
+    assert metrics["measures.faces"]["value"] > 0
+    assert metrics["measures.lv_measures"]["value"] > 0
+    assert metrics["engine.ensemble_path_steps"]["value"] > 0

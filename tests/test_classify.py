@@ -48,7 +48,7 @@ def test_certificate_margin_recomputes_from_table(bundled, verdict_of):
     for name in ("lv_coexist", "predprey", "holling2d"):
         v = verdict_of(name)
         table = v.discovery.table
-        achieved = float(np.min(table.rates_for_lp() @ v.certificate.weights))
+        achieved = float(np.min(table.lp_view()[0] @ v.certificate.weights))
         assert abs(achieved - v.certificate.t_star) <= 1e-9
 
 
@@ -193,6 +193,21 @@ def test_undecidable_refusal_names_first_entry():
     assert (refusal.measure, refusal.species) == ("face_2", 3)
     assert refusal.reason == ("invasion rate of species 3 against face_2 is "
                               "0.05 with uncertainty 0.1: not sign-decidable")
+
+
+def test_partition_names_first_undecided_species():
+    # face_1's on-support 0.05 +- 0.1 is pinned to zero, so its off-support
+    # 0.02 +- 0.1 is the entry of unknown sign; face_2's outside rate is
+    # decidedly negative
+    t = hand_table([(), (0,), (1,)],
+                   [[1.0, 1.0], [0.05, 0.02], [-0.5, 0.01]],
+                   [[0.0, 0.0], [0.1, 0.1], [0.0, 0.1]])
+    part = partition_measures(t)
+    assert part.sinks == ["face_2"]
+    assert part.others == ["origin"]
+    assert part.undecided == [("face_1", "invasion rate of species 2 against face_1 "
+                                         "is not sign-decidable at this budget")]
+    assert part.repulsion == "holds"
 
 
 def test_discovered_survivors_are_persistent(bundled):

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from stokolmo.classify import classify
 from stokolmo.foodchain import (FoodChainError, FoodChainParams, FoodChainVerdict,
-                                chain_matrix, classify_food_chain,
-                                foodchain_to_model, parse_food_chain)
+                                classify_food_chain, foodchain_to_model, parse_food_chain)
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -73,8 +72,10 @@ def test_borderline_invasion_is_inconclusive():
     assert v.j_star == 2     # the resolved part of the chain is kept
 
 
-def test_chain_matrix_structure():
-    T, b = chain_matrix(chain3(), 3)
+def test_chain_model_face_block_structure():
+    # the depth-3 tridiagonal system T x = b is the chain model's face block
+    model = foodchain_to_model(chain3())
+    T, b = model.drift.B, -model.growth_rate_origin()
     assert np.allclose(T, [[-1.0, -1.0, 0.0],
                            [2.0, -1.0, -1.0],
                            [0.0, 1.0, -1.0]])
@@ -173,10 +174,11 @@ def random_chains(count, seed):
 def test_face_solve_reproduces_the_tridiagonal_classification_bit_for_bit():
     kinds = set()
     for params in random_chains(300, seed=7):
+        model = foodchain_to_model(params)
         for depth in range(1, params.n + 1):
-            got, ref = chain_matrix(params, depth), reference_chain_matrix(params, depth)
-            assert got[0].tobytes() == ref[0].tobytes()
-            assert got[1].tobytes() == ref[1].tobytes()
+            T, b = reference_chain_matrix(params, depth)
+            assert model.drift.B[:depth, :depth].tobytes() == T.tobytes()
+            assert (-model.growth_rate_origin()[:depth]).tobytes() == b.tobytes()
         got = classify_food_chain(params).to_json_dict()
         ref = reference_classify(params).to_json_dict()
         kinds.add(ref["verdict"])

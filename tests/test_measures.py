@@ -12,12 +12,10 @@ import stokolmo.measures as measures_mod
 from stokolmo.classify import classify
 from stokolmo.engine import EngineError, SimConfig, simulate_path
 from stokolmo.measures import (_BATCHES, FACE_BUDGET, AnalysisBudget, DensityError,
-                               ErgodicMeasure,
-                               InvasionRateTable, MeasureError, _bound_decision,
-                               _empirical_measure, _face_seed, discover_boundary,
-                               find_boundary_measures,
-                               invasion_rates, lv_face_equilibrium,
-                               maximin_decision, measure_rates,
+                               ErgodicMeasure, InvasionRateTable, MeasureError,
+                               _batch_interval, _bound_decision, _empirical_measure,
+                               _face_seed, _lv_rates, discover_boundary,
+                               lv_face_equilibrium, maximin_decision,
                                stationary_density_1d, t_quantile_975)
 from stokolmo.model import parse_model, restrict_to_face
 
@@ -118,23 +116,27 @@ def test_face_equilibrium_needs_lv(bundled):
 
 # -- invasion rates ------------------------------------------------------------
 
+def rows_by_key(table: InvasionRateTable) -> dict[str, np.ndarray]:
+    return {mu.key: table.rates[k] for k, mu in enumerate(table.measures)}
+
+
 def test_rate_oracles(bundled):
     disc = discover_boundary(bundled["lv_coexist"])
     assert [mu.key for mu in disc.measures] == ["origin", "face_1", "face_2"]
     assert not disc.unresolved
-    t = disc.table
-    assert np.allclose(t.row("origin"), [2.5, 2.5], atol=1e-12)
+    row = rows_by_key(disc.table)
+    assert np.allclose(row["origin"], [2.5, 2.5], atol=1e-12)
     # against the single-species measure at m = 1.25 the rates are
     # (0, 1.25): zero on support, positive for the invader
-    assert np.allclose(t.row("face_1"), [0.0, 1.25], atol=1e-12)
-    assert np.allclose(t.row("face_2"), [1.25, 0.0], atol=1e-12)
+    assert np.allclose(row["face_1"], [0.0, 1.25], atol=1e-12)
+    assert np.allclose(row["face_2"], [1.25, 0.0], atol=1e-12)
 
 
 def test_extinction_rate_oracles(bundled):
-    t = discover_boundary(bundled["lv_single_extinct"]).table
-    assert np.isclose(t.row("face_1")[1], -6.5, atol=1e-12)
-    t = discover_boundary(bundled["two_pred_one_prey"]).table
-    assert np.isclose(t.row("face_1_2")[2], -31.0 / 12.0, atol=1e-12)
+    row = rows_by_key(discover_boundary(bundled["lv_single_extinct"]).table)
+    assert np.isclose(row["face_1"][1], -6.5, atol=1e-12)
+    row = rows_by_key(discover_boundary(bundled["two_pred_one_prey"]).table)
+    assert np.isclose(row["face_1_2"][2], -31.0 / 12.0, atol=1e-12)
 
 
 def test_on_support_rates_vanish_for_lv_models(bundled):
@@ -147,9 +149,9 @@ def test_on_support_rates_vanish_for_lv_models(bundled):
                 assert abs(table.rates[k, i]) <= tol, (name, mu.key, i)
 
 
-def test_rates_for_lp_pins_support_entries(bundled):
+def test_lp_rates_pin_support_entries(bundled):
     table = discover_boundary(bundled["lv_coexist"]).table
-    pinned = table.rates_for_lp()
+    pinned = table.lp_view()[0]
     for k, mu in enumerate(table.measures):
         for i in mu.support:
             assert pinned[k, i] == 0.0
@@ -262,18 +264,12 @@ def test_bound_decision_agrees_with_the_lp(table):
         assert maximin_decision(table).decision == bound
 
 
-def test_invasion_rates_needs_measures(bundled):
-    with pytest.raises(MeasureError):
-        invasion_rates(bundled["lv_coexist"], [])
-
-
-def test_measure_rates_origin_equals_growth_rate(bundled):
+def test_origin_row_equals_growth_rate(bundled):
     m = bundled["two_pred_one_prey"]
-    disc = discover_boundary(m)
-    origin = disc.measures[0]
-    r, c = measure_rates(m, origin)
-    assert np.array_equal(r, m.growth_rate_origin())
-    assert np.all(c == 0.0)
+    table = discover_boundary(m).table
+    assert table.measures[0].key == "origin"
+    assert np.array_equal(table.rates[0], m.growth_rate_origin())
+    assert np.all(table.ci[0] == 0.0)
 
 
 # -- discovery over the face lattice ------------------------------------------
@@ -315,8 +311,6 @@ def test_borderline_face_poisons_superfaces():
     assert "contains unresolved face" in disc.unresolved[1][1]
     found = [mu.key for mu in disc.measures]
     assert found == ["origin", "face_2", "face_3", "face_2_3"]
-    with pytest.raises(MeasureError):
-        find_boundary_measures(m)
 
 
 def lv_community(kind: str, n: int, seed: int):
@@ -344,9 +338,8 @@ def reference_lv_table(model) -> InvasionRateTable:
     """Discovery as one maximin LP per face, rows picked by set comparison."""
     origin = ErgodicMeasure(support=(), kind="dirac-origin", provenance="analytic",
                             moments=np.zeros(model.n))
-    r0, c0 = measure_rates(model, origin)
-    table = InvasionRateTable(measures=[origin], rates=r0[None], ci=c0[None],
-                              n_species=model.n)
+    table = InvasionRateTable(measures=[origin], rates=model.growth_rate_origin()[None],
+                              ci=np.zeros((1, model.n)), n_species=model.n)
     for size in range(1, model.n):
         for face in itertools.combinations(range(model.n), size):
             rows = [k for k, mu in enumerate(table.measures) if set(mu.support) < set(face)]
@@ -356,7 +349,7 @@ def reference_lv_table(model) -> InvasionRateTable:
                 moments, residual = lv_face_equilibrium(model, face)
                 mu = ErgodicMeasure(support=face, kind="lv-moments", provenance="analytic",
                                     moments=moments, residual=residual)
-                table.append(mu, *measure_rates(model, mu))
+                table.append(mu, _lv_rates(model, moments), np.zeros(model.n))
     return table
 
 
@@ -450,10 +443,12 @@ def test_empirical_measure_matches_path_by_path_batches():
     budget = AnalysisBudget(face_sim=SimConfig(
         n_paths=3, t_max=30.0, dt=1e-2, burn_in=5.0, seed=1))
     br, bm = reference_batches(m, (0, 1), budget)
-    payload = _empirical_measure(m, (0, 1), budget).empirical
+    mu, rate, ci = _empirical_measure(m, (0, 1), budget)
     assert br.shape == (18, 3)
-    assert np.array_equal(payload.batch_rates, br)
-    assert np.array_equal(payload.batch_moments, bm)
+    assert rate.tobytes() == br.mean(axis=0).tobytes()
+    assert ci.tobytes() == _batch_interval(br).tobytes()
+    assert mu.moments.tobytes() == np.append(bm.mean(axis=0), 0.0).tobytes()
+    assert mu.moments_ci.tobytes() == np.append(_batch_interval(bm), 0.0).tobytes()
 
 
 # paths on face {1, 2} end in every way: clean, blow-up, extinction, and a
