@@ -9,6 +9,7 @@ Run from the repository root:
     python3 scripts/bench.py --section classify --label classify --against ../other
     python3 scripts/bench.py --section engine --label engine --against ../other
     python3 scripts/bench.py --section verify --label verify --against ../other
+    python3 scripts/bench.py --section faces --label faces --against ../other
 
 --section lp (the default) classifies seeded competitive and food-chain
 Lotka-Volterra communities of 3-10 species and keeps the block of every
@@ -41,15 +42,21 @@ and seed 0, VERIFY_ROUNDS times, and reports the median time per model
 with the verdict kind and verification status (an Inconclusive verdict
 is classified only).
 
+--section faces times ``classify`` on the three 3-species Lotka-Volterra
+communities written as expressions that the ``face_mc`` benchmark
+workload classifies, at its Monte Carlo face budget (4 paths, T = 100,
+dt = 1e-2, burn-in 10) and face seed 0, FACES_ROUNDS times, and reports
+the median time per model with its count of Monte Carlo faces.
+
 Timings taken in separate runs drift with the host's speed.  --against
 CHECKOUT loads that checkout's package beside this one and times both
 on every table or model back to back, in alternating order.  An LP shape
 also gets that solver's median and the median over its tables of the
-per-table time ratio; a classify, engine or verify model gets the other
-time, the median over rounds of the time ratio (this checkout over the
-other) and whether both gave the same verdict document, the same bits in
-every array of the ensemble statistics and the same path errors, or the
-same canonical JSON of the verdict and verification documents.
+per-table time ratio; a classify, engine, verify or faces model gets the
+other time, the median over rounds of the time ratio (this checkout over
+the other) and whether both gave the same verdict document, the same bits
+in every array of the ensemble statistics and the same path errors, or
+the same canonical JSON of the verdict (and verification) documents.
 """
 
 import argparse
@@ -77,7 +84,7 @@ SIZES = range(3, 11)
 SEEDS = (1, 2)
 REPEATS = 9         # solves per table; the fastest counts
 MAX_TIMED = 60
-CLASSIFY_ROUNDS = 3  # classify calls per model and checkout; the median counts
+CLASSIFY_ROUNDS = 8  # classify calls per model and checkout; the median counts
 
 ENGINE_PATHS = 128
 ENGINE_DT = 1e-3
@@ -97,6 +104,9 @@ ENGINE_PLAN = (
 VERIFY_PATHS = 64
 VERIFY_T = 240.0
 VERIFY_ROUNDS = 5   # classify + verify runs per model and checkout; the median counts
+
+FACES_ROUNDS = 8    # classify runs per model and checkout; the median counts
+FACES_SEED = 0
 
 
 def lv_doc(a, B, s) -> dict:
@@ -443,10 +453,47 @@ def verify_section(against) -> dict:
             "rounds": VERIFY_ROUNDS, "models": out}
 
 
+def faces_section(against) -> dict:
+    """Median ``classify`` time per ``face_mc`` community (rounds as in
+    :func:`paired_rounds`)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import FACE_MC_PLAN, FACE_SIM, general_doc
+    packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
+    names = [name for name, *_ in FACE_MC_PLAN]
+    models = {(k, name): pkg.parse_model(json.dumps(general_doc(a, B)))
+              for k, pkg in enumerate(packages) for name, a, B, _ in FACE_MC_PLAN}
+    budgets = [pkg.AnalysisBudget(face_sim=pkg.SimConfig(**FACE_SIM, seed=FACES_SEED))
+               for pkg in packages]
+    seconds, results = paired_rounds(
+        packages, names, FACES_ROUNDS,
+        lambda pkg, k, name: pkg.classify(models[k, name], budgets[k]))
+    reports = {key: packages[key[0]].canonical_json(verdict.to_json_dict())
+               for key, verdict in results.items()}
+    out = {}
+    for m, name in enumerate(names):
+        verdict = results[0, name]
+        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
+        row = {"verdict": verdict.kind,
+               "mc_faces": sum(mu.kind == "empirical"
+                               for mu in (verdict.discovery.measures if verdict.discovery else [])),
+               "median_s": round(med[0], 4)}
+        if against:
+            row["against_median_s"] = round(med[1], 4)
+            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
+            row["same_report"] = reports[0, name] == reports[1, name]
+        out[name] = row
+        print(f"{name:>16} {row['verdict']:>12} mc {row['mc_faces']} {row['median_s']:>8.3f}"
+              + (f" {row['against_median_s']:>8.3f} {row['ratio']:6.2f}"
+                 f" {'same report' if row['same_report'] else 'REPORT DIFFERS'}"
+                 if against else ""))
+    return {"face_sim": FACE_SIM, "seed": FACES_SEED, "rounds": FACES_ROUNDS, "models": out}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--section", choices=("lp", "classify", "engine", "verify"), default="lp",
+    ap.add_argument("--section", choices=("lp", "classify", "engine", "verify", "faces"),
+                    default="lp",
                     help="the layer to time (default: lp)")
     ap.add_argument("--against", help="another checkout timed alongside")
     args = ap.parse_args()
@@ -458,7 +505,8 @@ def main() -> int:
     if args.against:
         doc["against_git"] = git_rev(args.against)
     section = {"lp": lp_section, "classify": classify_section,
-               "engine": engine_section, "verify": verify_section}[args.section]
+               "engine": engine_section, "verify": verify_section,
+               "faces": faces_section}[args.section]
     doc.update(section(args.against))
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

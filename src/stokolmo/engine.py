@@ -34,9 +34,11 @@ the noise row it has used, and X overwrites the log states once the
 chunk's reductions have read them.  A chunk past burn-in in which no path
 halts counts every step of every path, so its reductions build no mask.
 Lotka-Volterra drift is written in place into buffers made once per
-block, summed in the order ``KolmogorovModel.drift_at`` sums it; a
-polynomial cannot fail, so only expression drift and noise are evaluated
-through ``drift_at`` and ``noise_amp_at`` with domain errors isolated.
+block, summed in the order ``KolmogorovModel.drift_at`` sums it.
+Expression drift and state-dependent noise run their compiled tapes,
+bound once per block to the rows of X and to (n, paths) buffers; a
+polynomial cannot fail, but a tape can, and then ``drift_at`` or
+``noise_amp_at`` on each path's column finds the paths to abort.
 
 A path that crosses the blow-up threshold halts (its terminal state and
 time are recorded and it is frozen out of further arithmetic); crossing
@@ -284,6 +286,7 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
     n_live = P    # paths not yet halted; below P the update is masked
 
     lv = model.is_lv
+    F = np.empty((n, P))    # the step's drift
     if lv:
         # f - sigma_ii g_i^2 / 2, written in place: row 0 of ``lv_terms``
         # holds a, row 1 + j holds B[:, j] X_j and the last row the negated
@@ -296,7 +299,14 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         lv_prod = lv_terms[1:-1]
         b_rows = model.drift.B.T[:, :, None]
         x_rows = X[:, None, :]
-        F = np.empty((n, P))
+    else:
+        # expression tapes, bound once to the rows of X: drift into F and
+        # state-dependent noise into G, each with the per-path evaluation
+        # that isolates a domain error
+        tapes = {"drift": (model.drift.bind(list(X), F), F, model.drift_at)}
+        if not const_noise:
+            G = np.empty((n, P))
+            tapes["noise"] = (model.noise.bind(list(X), G), G, model.noise_amp_at)
 
     def freeze(cols, step):
         """Halt the paths ``cols`` at ``step``: record their state, park them
@@ -312,15 +322,19 @@ def _run_block(model: KolmogorovModel, y0: np.ndarray, cfg: SimConfig,
         actf[cols] = 0.0
 
     def eval_with_isolation(kind: str, step: int):
-        """Evaluate drift or noise amplitude at X; on a domain error, find the
-        offending paths by scalar re-evaluation, abort just those, retry."""
+        """Run the drift or noise tapes at X; on a domain error, find the
+        offending paths by evaluating each path's column alone, abort just
+        those, retry."""
         nonlocal Y
-        fn = model.drift_at if kind == "drift" else model.noise_amp_at
+        calls, out, fn = tapes[kind]
         while True:
             if n_live == 0:           # every path halted: nothing to evaluate
-                return np.zeros((n, P))
+                out.fill(0.0)
+                return out
             try:
-                return fn(X.T).T
+                for call in calls:
+                    call()
+                return out
             except ExpressionDomainError as exc:
                 # each path keeps its own error, so messages ignore the block layout
                 bad = {}

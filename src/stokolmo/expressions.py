@@ -12,14 +12,23 @@ that overflows (``x1*1e308*10``) is not reported, because a finiteness
 scan at every arithmetic node would cost a full-array pass per node per
 engine step; in simulation only the engine's nan and -inf aborts catch it.
 
-Evaluation accepts scalars or numpy arrays per variable and broadcasts
-elementwise, which is what the simulation engine feeds it (one array
-across concurrent sample paths).
+An expression compiles once into a tape: a flat, post-order list of
+ufunc calls and domain checks, the tree's own ops in the tree's own
+order, with only the folds that keep every bit (constant ``+ - *`` and
+unary minus, and ``x*1``, ``1*x``, ``x - 0.0``, ``x + -0.0``, ``-0.0 + x``).
+``bind_tapes`` turns tapes into calls bound once to fixed arrays, written
+with ``out=`` into buffers made at binding, so the simulation engine runs
+a block's drift every step with no allocation and no tree walk.  Calling a
+tape evaluates it at scalars or numpy arrays per variable, broadcast
+elementwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+import operator
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -308,86 +317,216 @@ def _fmt_signed(e: Expression, parent_prec: int) -> str:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# An expression compiles to a tape: its ufunc calls and domain checks in
+# post order, each reading and writing references.  A reference is
+# ("x", j) for variable j, ("c", v) for a constant v known at compile time,
+# ("s", k) and ("k", k) for buffer k of the evaluation's shape and of shape
+# (), and ("o", None) for the row the result goes to.  Buffers are numbered
+# as a stack: an operand waiting for its sibling holds the lowest number,
+# so a tape needs as many buffers as its tree is deep, not one per node.
 
-def _any(cond) -> bool:
-    if isinstance(cond, np.ndarray):
-        return bool(cond.any())
-    return bool(cond)
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "ln": np.log,
+           "sqrt": np.sqrt}
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_OUT = ("o", None)
 
 
-def compile_expression(e: Expression) -> Callable[[Sequence[Value]], Value]:
-    """Build a closure evaluating ``e`` with variable i bound to ``x[i]``.
+def _copy(src, out):
+    np.copyto(out, src)
 
-    Components may be floats or equally shaped numpy arrays.  Division by
-    zero, ``ln``/``sqrt`` outside their domain, and non-finite results of
-    ``exp``/``^`` raise :class:`ExpressionDomainError`; an overflowing sum,
-    product or quotient returns inf or nan unreported, since a scan there
-    would cost a full-array pass per node per engine step.  Each node becomes
-    one closure, so the integrator hot path, which evaluates the tree every
-    time step, pays no per-node dispatch.
+
+def _has_zero(a: np.ndarray) -> bool:
+    return not a.all()
+
+
+def _has_nonpositive(a: np.ndarray) -> bool:
+    return bool((a <= 0.0).any())
+
+
+def _has_negative(a: np.ndarray) -> bool:
+    return bool((a < 0.0).any())
+
+
+def _has_nonfinite(a: np.ndarray) -> bool:
+    return not np.isfinite(a).all()
+
+
+@dataclass(frozen=True)
+class _Step:
+    fn: Callable                  # a ufunc, or a check's test for a failure
+    args: tuple                   # references read
+    out: tuple | None = None      # reference a ufunc writes; None for a check
+    quiet: tuple = ()             # np.errstate settings the ufunc runs under
+    error: tuple = ()             # (message, subexpression) a check raises
+
+
+def _is_const(ref, v: float) -> bool:
+    """Whether ``ref`` is the compile-time constant ``v``, sign of zero included."""
+    return (ref[0] == "c" and ref[1] == v
+            and math.copysign(1.0, ref[1]) == math.copysign(1.0, v))
+
+
+def _next_free(ref, depth: int) -> int:
+    return ref[1] + 1 if ref[0] in "sk" else depth
+
+
+class Tape:
+    """A compiled expression: its ufunc calls and domain checks in post order.
+
+    :func:`bind_tapes` turns tapes into calls over fixed arrays, which see
+    the arrays change in place; calling a tape evaluates it once, at
+    variable i bound to ``x[i]``.  ``slots`` counts the buffers of each
+    kind a binding makes for it.
     """
-    if isinstance(e, Num):
-        v = e.value
-        return lambda x: v
-    if isinstance(e, Var):
-        i = e.index
-        return lambda x: x[i]
-    if isinstance(e, Neg):
-        f = compile_expression(e.arg)
-        return lambda x: -f(x)
-    if isinstance(e, Call):
-        f = compile_expression(e.arg)
-        label = format_expression(e)
-        if e.fn == "exp":
-            def _exp(x):
-                with np.errstate(over="ignore"):
-                    out = np.exp(f(x))
-                if _any(~np.isfinite(out)):
-                    raise ExpressionDomainError("exp overflow", label)
+
+    def __init__(self, e: Expression):
+        self.steps: list[_Step] = []
+        self.slots = {"s": 0, "k": 0}
+        res = self._emit(e, 0)
+        if res[0] == "s":
+            # the last write of the result goes to the result row, and so do
+            # the checks after it, which read it
+            w = max(i for i, s in enumerate(self.steps) if s.out == res)
+            self.steps[w] = replace(self.steps[w], out=_OUT)
+            self.steps[w + 1:] = [
+                replace(s, args=tuple(_OUT if a == res else a for a in s.args))
+                for s in self.steps[w + 1:]]
+        else:
+            self.steps.append(_Step(_copy, (res,), _OUT))
+
+    def _op(self, fn, args: tuple, depth: int, quiet: tuple = ()) -> tuple:
+        kind = "k" if all(a[0] in "ck" for a in args) else "s"
+        self.slots[kind] = max(self.slots[kind], depth + 1)
+        out = (kind, depth)
+        self.steps.append(_Step(fn, args, out, quiet))
+        return out
+
+    def _check(self, test, ref, message: str, e: Expression):
+        self.steps.append(_Step(test, (ref,), error=(message, format_expression(e))))
+
+    def _emit(self, e: Expression, depth: int) -> tuple:
+        """Append the steps of ``e``, whose result may use buffers numbered
+        ``depth`` and up, and return the reference to its result.
+
+        Folding keeps every bit: constant ``+ - *`` and unary minus become the
+        float they evaluate to, and ``x*1``, ``1*x``, ``x - 0.0``, ``x + -0.0``
+        and ``-0.0 + x`` become ``x``.  ``x + 0.0`` turns -0.0 into 0.0 and
+        ``0*x`` is not 0 at nan or inf, so they stay; so does a constant
+        ``/ ^ exp ln sqrt``, whose domain error belongs to evaluation."""
+        if isinstance(e, Num):
+            return ("c", e.value)
+        if isinstance(e, Var):
+            return ("x", e.index)
+        if isinstance(e, Neg):
+            a = self._emit(e.arg, depth)
+            if a[0] == "c":
+                return ("c", -a[1])
+            return self._op(np.negative, (a,), depth)
+        if isinstance(e, Call):
+            a = self._emit(e.arg, depth)
+            if e.fn == "exp":
+                out = self._op(np.exp, (a,), depth, (("over", "ignore"),))
+                self._check(_has_nonfinite, out, "exp overflow", e)
                 return out
-            return _exp
-        if e.fn == "ln":
-            def _ln(x):
-                v = f(x)
-                if _any(np.asarray(v) <= 0.0):
-                    raise ExpressionDomainError("ln of non-positive argument", label)
-                return np.log(v)
-            return _ln
-        if e.fn == "sqrt":
-            def _sqrt(x):
-                v = f(x)
-                if _any(np.asarray(v) < 0.0):
-                    raise ExpressionDomainError("sqrt of negative argument", label)
-                return np.sqrt(v)
-            return _sqrt
-    if isinstance(e, BinOp):
-        fa = compile_expression(e.left)
-        fb = compile_expression(e.right)
-        if e.op == "+":
-            return lambda x: fa(x) + fb(x)
-        if e.op == "-":
-            return lambda x: fa(x) - fb(x)
-        if e.op == "*":
-            return lambda x: fa(x) * fb(x)
-        label = format_expression(e)
+            if e.fn == "ln":
+                self._check(_has_nonpositive, a, "ln of non-positive argument", e)
+            else:
+                self._check(_has_negative, a, "sqrt of negative argument", e)
+            return self._op(_UFUNCS[e.fn], (a,), depth)
+        if not isinstance(e, BinOp):
+            raise TypeError(f"not an expression node: {e!r}")
         if e.op == "/":
-            def _div(x):
-                den = fb(x)
-                if _any(np.asarray(den) == 0.0):
-                    raise ExpressionDomainError("division by zero", label)
-                return fa(x) / den
-            return _div
+            # the denominator and its check come before the numerator
+            b = self._emit(e.right, depth)
+            if not (b[0] == "c" and b[1] != 0.0):
+                self._check(_has_zero, b, "division by zero", e)
+            a = self._emit(e.left, _next_free(b, depth))
+            return self._op(np.divide, (a, b), depth)
+        a = self._emit(e.left, depth)
+        b = self._emit(e.right, _next_free(a, depth))
         if e.op == "^":
-            def _pow(x):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = np.power(fa(x), fb(x))
-                if _any(~np.isfinite(out)):
-                    raise ExpressionDomainError(
-                        "power outside real domain or overflow", label
-                    )
-                return out
-            return _pow
-    raise TypeError(f"not an expression node: {e!r}")
+            out = self._op(np.power, (a, b), depth,
+                           (("over", "ignore"), ("invalid", "ignore")))
+            self._check(_has_nonfinite, out, "power outside real domain or overflow", e)
+            return out
+        if a[0] == "c" and b[0] == "c":
+            return ("c", _FOLD[e.op](a[1], b[1]))
+        if (e.op == "*" and _is_const(b, 1.0) or e.op == "-" and _is_const(b, 0.0)
+                or e.op == "+" and _is_const(b, -0.0)):
+            return a
+        if e.op == "*" and _is_const(a, 1.0) or e.op == "+" and _is_const(a, -0.0):
+            return b
+        return self._op(_UFUNCS[e.op], (a, b), depth)
+
+    def __call__(self, x: Sequence[Value]) -> Value:
+        rows = [np.asarray(v, dtype=float) for v in x]
+        out = np.empty((1,) + np.broadcast_shapes(*(r.shape for r in rows)))
+        for call in bind_tapes([self], rows, out):
+            call()
+        return out[0, ...][()]
+
+
+def _bound(step: _Step, resolve) -> Callable[[], object]:
+    args = [resolve(a) for a in step.args]
+    if step.error:
+        test, (a,), error = step.fn, args, step.error
+
+        def check():
+            if test(a):
+                raise ExpressionDomainError(*error)
+        return check
+    fn, out = step.fn, resolve(step.out)
+    if step.quiet:
+        quiet = dict(step.quiet)
+
+        def quiet_call():
+            with np.errstate(**quiet):
+                fn(*args, out=out)
+        return quiet_call
+    return functools.partial(fn, *args, out=out)
+
+
+def bind_tapes(tapes: Sequence[Tape], rows: Sequence[np.ndarray],
+               out: np.ndarray) -> list[Callable[[], object]]:
+    """The calls that evaluate ``tapes[i]`` into ``out[i]``, one tape after
+    another, with variable j read from ``rows[j]``.
+
+    The calls hold ``rows``, ``out`` and buffers made here, so they can run
+    again after the rows change in place; a check raises
+    :class:`ExpressionDomainError`, and the calls after it do not run.
+    """
+    pool = {"s": [np.empty(out.shape[1:]) for _ in range(max(t.slots["s"] for t in tapes))],
+            "k": [np.empty(()) for _ in range(max(t.slots["k"] for t in tapes))]}
+    calls = []
+    for i, tape in enumerate(tapes):
+        row = out[i, ...]
+
+        def resolve(ref):
+            kind, key = ref
+            if kind == "x":
+                return rows[key]
+            if kind == "c":
+                return np.array(key)
+            return row if kind == "o" else pool[kind][key]
+        calls += [_bound(step, resolve) for step in tape.steps]
+    return calls
+
+
+def compile_expression(e: Expression) -> Tape:
+    """Compile ``e`` into a :class:`Tape`; calling it evaluates ``e`` with
+    variable i bound to ``x[i]``.
+
+    Components may be floats or numpy arrays that broadcast together.
+    Division by zero, ``ln``/``sqrt`` outside their domain, and non-finite
+    results of ``exp``/``^`` raise :class:`ExpressionDomainError`, in the
+    order a post-order walk meets them (a denominator before its
+    numerator); an overflowing sum, product or quotient returns inf or nan
+    unreported, since a scan there would cost a full-array pass per node
+    per engine step.  The tape's ops are the tree's, in the same order, so
+    its values keep every bit of a node-by-node evaluation.
+    """
+    return Tape(e)
 
 
 # ---------------------------------------------------------------------------

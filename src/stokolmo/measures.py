@@ -260,7 +260,8 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
     Raises :class:`DensityError` when no normalizable density exists:
     either the boundary exponent at zero is not integrable (the species'
     growth rate at the origin is non-positive) or mass escapes to
-    infinity (unnormalizable tail).
+    infinity (unnormalizable tail).  A drift or noise value that is not
+    finite on a grid is refused the same way, naming the first such point.
     """
     if model1d.n != 1:
         raise MeasureError("stationary_density_1d needs a one-species model")
@@ -280,6 +281,10 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
         u = np.exp(w)
         fu = model1d.drift_at(u[:, None])[:, 0]
         g = model1d.noise_amp_at(u[:, None])[:, 0]
+        finite = np.isfinite(fu) & np.isfinite(g)
+        if not finite.all():
+            raise DensityError(f"drift or noise is not finite at the grid point "
+                               f"u={u[np.argmin(finite)]:.6g}")
         g2u = g * g
         d = 2.0 * fu / (sigma * g2u)
         psi = _cumulative_simpson(d, h)

@@ -39,6 +39,8 @@ from .expressions import (
     ExpressionDomainError,
     ExpressionSyntaxError,
     Num,
+    Tape,
+    bind_tapes,
     compile_expression,
     expression_variables,
     format_expression,
@@ -84,22 +86,30 @@ class LVDrift:
 
 @dataclass
 class _Expressions:
-    """One expression tree per species, compiled on first use."""
+    """One expression tree per species, compiled on first use into tapes."""
 
     exprs: tuple[Expression, ...]
-    _compiled: tuple[Callable, ...] = field(default=None, repr=False, compare=False)
+    _compiled: tuple[Tape, ...] = field(default=None, repr=False, compare=False)
 
-    def compiled(self):
+    def compiled(self) -> tuple[Tape, ...]:
         if self._compiled is None:
             self._compiled = tuple(compile_expression(e) for e in self.exprs)
         return self._compiled
 
+    def bind(self, rows: Sequence[np.ndarray], out: np.ndarray) -> list[Callable]:
+        """Calls that write species i's value at variables ``rows`` into
+        ``out[i]`` when run in order; they keep evaluating the arrays they
+        were given as those change in place (see ``bind_tapes``)."""
+        return bind_tapes(self.compiled(), rows, out)
+
     def at(self, x: np.ndarray) -> np.ndarray:
-        """Values at x, (n,) or (paths, n); the result keeps x's memory order."""
-        cols = [x[..., j] for j in range(x.shape[-1])]
+        """Values at x, (n,) or (paths, n); the result keeps x's memory order.
+        The tapes run species-major on buffers made for this call."""
+        values = np.empty((len(self.exprs),) + x.shape[:-1])
+        for call in self.bind([x[..., j] for j in range(x.shape[-1])], values):
+            call()
         out = np.empty_like(x)
-        for i, fn in enumerate(self.compiled()):
-            out[..., i] = fn(cols)
+        out[...] = np.moveaxis(values, 0, -1)
         return out
 
 

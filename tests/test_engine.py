@@ -8,8 +8,9 @@ import pytest
 from stokolmo import engine
 from stokolmo.engine import (EngineError, SimConfig, simulate_ensemble,
                              simulate_path)
-from stokolmo.model import load_model, parse_model
+from stokolmo.model import _Expressions, load_model, parse_model
 from tests.conftest import model_path
+from tests.test_expressions import reference_eval
 
 LOGISTIC = parse_model(json.dumps({
     "n": 1, "lv": {"a": [2.0], "B": [[-1.0]], "g": [1.0]}, "sigma": [[1.0]],
@@ -569,21 +570,37 @@ COOP_EXPR = parse_model(json.dumps({
     "sigma": np.eye(2).tolist()}))
 
 
+def count_tape_runs(monkeypatch):
+    """One entry per run of the expression tapes bound from now on."""
+    runs = []
+    bind = _Expressions.bind
+
+    def counted(self, rows, out):
+        return [lambda: runs.append(1)] + bind(self, rows, out)
+
+    monkeypatch.setattr(_Expressions, "bind", counted)
+    return runs
+
+
 def test_halted_block_stops_stepping(monkeypatch):
     # every path halts early in the first chunk: the block takes no step
     # past the last halt and draws no noise past the sub-chunk holding it.
-    # The Lotka-Volterra step computes its drift in place, so only the
-    # expression twin counts its steps through drift_at
+    # The Lotka-Volterra step computes its drift in place and calls no
+    # tape; the expression twin runs its drift tapes once a step, and
+    # neither calls drift_at
     cfg = SimConfig(n_paths=8, t_max=50.0, burn_in=1.0, seed=0)
     calls = count_calls(monkeypatch, "drift_at")
+    runs = count_tape_runs(monkeypatch)
     gens = count_draws(monkeypatch)
     for model in (COOP, COOP_EXPR):
         calls.clear()
+        runs.clear()
         gens.clear()
         stats = simulate_ensemble(model, np.ones(2), cfg)
         last_halt = int(np.rint(stats.t_end / cfg.dt).max())
         assert last_halt < engine._CHUNK - engine._SUB
-        assert len(calls) == (0 if model.is_lv else last_halt)
+        assert calls == []
+        assert len(runs) == (0 if model.is_lv else last_halt)
         drawn = -(-last_halt // engine._SUB) * engine._SUB
         assert len(gens) == cfg.n_paths
         assert all(g.rows == drawn for g in gens)
@@ -860,6 +877,34 @@ def test_block_keeps_every_bit_of_the_path_major_reference(case, keep):
             assert max(t_end[p] for p in errors) > engine._CHUNK * cfg.dt
         else:
             assert min(t_end) == cfg.t_max > engine._CHUNK * cfg.dt
+
+
+def node_by_node_bind(self, rows, out):
+    """A stand-in for ``_Expressions.bind``: one call that evaluates each
+    tree node by node, the evaluation the tapes replace."""
+    def run():
+        for i, e in enumerate(self.exprs):
+            out[i] = reference_eval(e, rows)
+    return [run]
+
+
+@pytest.mark.parametrize("case", ["holling2d", "expression_noise", "aborting"])
+def test_expression_block_runs_its_tapes_with_node_by_node_bits(monkeypatch, case):
+    # a 4-path block binds its drift and noise tapes once; drift_at and
+    # noise_amp_at each evaluate one path's column, only to isolate a
+    # domain error.  Every output keeps the bits of node-by-node evaluation
+    model, _, t_max, _ = REFERENCE_CASES[case]
+    cfg = SimConfig(n_paths=4, t_max=t_max, dt=1e-2, burn_in=1.0, seed=3)
+    ids = list(range(cfg.n_paths))
+    y0 = np.zeros(model.n)
+    drift = count_calls(monkeypatch, "drift_at")
+    noise = count_calls(monkeypatch, "noise_amp_at")
+    out = engine._run_block(model, y0, cfg, ids, len(ids))
+    assert len(drift) + len(noise) <= len(ids) * len(out.errors)
+    assert bool(out.errors) == (case == "aborting")
+    monkeypatch.setattr(_Expressions, "bind", node_by_node_bind)
+    ref = engine._run_block(model, y0, cfg, ids, len(ids))
+    assert_same_block(out, ref, cfg.dt, len(ids))
 
 
 def test_a_chunk_holds_one_buffer():

@@ -17,6 +17,7 @@ from stokolmo.measures import (_BATCHES, FACE_BUDGET, AnalysisBudget, DensityErr
                                _face_seed, _lv_rates, discover_boundary,
                                lv_face_equilibrium, maximin_decision,
                                stationary_density_1d, t_quantile_975)
+from stokolmo.assumptions import run_assumption_checks
 from stokolmo.model import parse_model, restrict_to_face
 
 
@@ -71,6 +72,34 @@ def test_density_refuses_runaway_tail():
     # no self-limitation (B = 0): the scale density diverges at infinity
     with pytest.raises(DensityError):
         stationary_density_1d(logistic_1d(2.0, b=0.0))
+
+
+# 0.6 - x1 plus a term that is 0 at x1 = 0 and at every x1 the assumption
+# checks sample, but inf - inf = nan for x1 between about 1e-242 and 1e-58,
+# a stretch the density grid of this weak growth rate (0.1 at the origin)
+# has to reach
+NAN_NEAR_ZERO = "0.6 - x1 + (x1/(x1*x1 + 1e-300)*1e250 - x1/(x1*x1 + 1e-300)*1e250)"
+
+
+def test_density_refuses_a_non_finite_drift_on_its_grid():
+    m = parse_model(json.dumps({"n": 1, "general": {"f": [NAN_NEAR_ZERO], "g": ["1"]},
+                                "sigma": [[1.0]]}))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert run_assumption_checks(m).tightness.status == "heuristic-pass"
+        with pytest.raises(DensityError) as exc:
+            stationary_density_1d(m)
+    message = str(exc.value)
+    assert message.startswith("drift or noise is not finite at the grid point u=")
+    u = float(message.rsplit("=", 1)[1])
+    assert 1e-242 < u < 1e-58
+    assert np.isnan(m.drift_at(np.array([u])))[0]
+    # in a community the face is unresolved, with that reason
+    two = parse_model(json.dumps({
+        "n": 2, "general": {"f": [NAN_NEAR_ZERO, "-0.5 + x1 - x2"], "g": ["1", "1"]},
+        "sigma": np.eye(2).tolist()}))
+    with np.errstate(invalid="ignore", over="ignore"):
+        disc = discover_boundary(two)
+    assert disc.unresolved == [((0,), message)]
 
 
 def test_density_needs_one_species():
