@@ -104,12 +104,16 @@ class _Expressions:
 
     def at(self, x: np.ndarray) -> np.ndarray:
         """Values at x, (n,) or (paths, n); the result keeps x's memory order.
-        The tapes run species-major on buffers made for this call."""
-        values = np.empty((len(self.exprs),) + x.shape[:-1])
-        for call in self.bind([x[..., j] for j in range(x.shape[-1])], values):
-            call()
+        Each tape runs on buffers made for this call into one contiguous
+        row, which is copied into its species' column: no more than one
+        temporary of x's size per species is alive."""
+        rows = [x[..., j] for j in range(x.shape[-1])]
         out = np.empty_like(x)
-        out[...] = np.moveaxis(values, 0, -1)
+        value = np.empty((1,) + x.shape[:-1])
+        for i, tape in enumerate(self.compiled()):
+            for call in bind_tapes([tape], rows, value):
+                call()
+            out[..., i] = value[0]
         return out
 
 
