@@ -162,11 +162,11 @@ def face_blocks(disc) -> list:
     an entry of unknown sign is never solved; neither is kept."""
     table = disc.table
     n = table.n_species
-    bad = [set(face) for face, _ in disc.unresolved]
+    bad = np.array([measures.face_mask(face) for face, _ in disc.unresolved], dtype=np.int64)
     blocks = []
     for size in range(1, n):
         for face in itertools.combinations(range(n), size):
-            if any(u < set(face) for u in bad):
+            if measures.proper_subsets(bad, measures.face_mask(face)).size:
                 continue
             rates, _, unknown = table.lp_view(table.rows_below(face), face)
             if unknown is None:

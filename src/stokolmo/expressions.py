@@ -128,6 +128,8 @@ def _tokenize(text: str):
                 val = float(text[i:j])
             except ValueError:
                 raise ExpressionSyntaxError(f"bad number literal '{text[i:j]}'", i)
+            if math.isinf(val):
+                raise ExpressionSyntaxError(f"number literal '{text[i:j]}' overflows to inf", i)
             tokens.append((_TOK_NUM, val, i))
             i = j
             continue

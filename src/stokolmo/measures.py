@@ -389,6 +389,16 @@ def stationary_density_1d(model1d: KolmogorovModel) -> StationaryDensity1D:
 # ---------------------------------------------------------------------------
 # invasion rates
 
+def face_mask(face) -> int:
+    """The support bitmask of a face: bit i is set for each species i in it."""
+    return sum(1 << i for i in face)
+
+
+def proper_subsets(masks: np.ndarray, mask: int) -> np.ndarray:
+    """Indices of the support masks that are proper subsets of ``mask``."""
+    return np.flatnonzero(((masks & ~mask) == 0) & (masks != mask))
+
+
 @dataclass
 class InvasionRateTable:
     """lambda_i(mu) for every found measure (rows) and species (columns)."""
@@ -397,27 +407,16 @@ class InvasionRateTable:
     rates: np.ndarray        # (n_measures, n)
     ci: np.ndarray           # (n_measures, n) half widths; 0 means exact
     n_species: int
+    masks: np.ndarray = field(init=False, repr=False)        # (n_measures,) int64 supports
     on_support: np.ndarray = field(init=False, repr=False)   # (n_measures, n) bool
 
     def __post_init__(self):
-        self.on_support = np.array([self._support_row(mu) for mu in self.measures],
-                                   dtype=bool).reshape(-1, self.n_species)
-
-    def _support_row(self, mu: ErgodicMeasure) -> list[bool]:
-        return [i in mu.support for i in range(self.n_species)]
-
-    def append(self, mu: ErgodicMeasure, rate: np.ndarray, ci: np.ndarray):
-        self.measures.append(mu)
-        self.rates = np.concatenate([self.rates, [rate]])
-        self.ci = np.concatenate([self.ci, [ci]])
-        self.on_support = np.concatenate([self.on_support, [self._support_row(mu)]])
+        self.masks = np.array([face_mask(mu.support) for mu in self.measures], dtype=np.int64)
+        self.on_support = (self.masks[:, None] >> np.arange(self.n_species)) & 1 == 1
 
     def rows_below(self, face) -> np.ndarray:
         """Rows whose measure support is a proper subset of ``face``."""
-        face = list(face)
-        size = self.on_support.sum(axis=1)
-        inside = self.on_support[:, face].sum(axis=1)
-        return np.flatnonzero((inside == size) & (size < len(face)))
+        return proper_subsets(self.masks, face_mask(face))
 
     def lp_view(self, rows=None, cols=None):
         """Rates and half widths of a block, with on-support entries pinned
@@ -523,10 +522,7 @@ def _density_rates(model: KolmogorovModel, species: int,
 # Monte Carlo occupation measure on a face
 
 def _face_seed(base: int, face: tuple[int, ...]) -> int:
-    bits = 0
-    for i in face:
-        bits |= 1 << i
-    return (base * 0x9E3779B97F4A7C15 + bits + 1) & _MASK64
+    return (base * 0x9E3779B97F4A7C15 + face_mask(face) + 1) & _MASK64
 
 
 def _empirical_measure(model: KolmogorovModel, face: tuple[int, ...],
@@ -643,40 +639,44 @@ def discover_boundary(model: KolmogorovModel,
     if 2 ** n - 2 > FACE_BUDGET:
         raise MeasureError(f"{n} species have {2 ** n - 2} boundary faces, over the "
                            f"face budget of {FACE_BUDGET}")
-    origin = ErgodicMeasure(
-        support=(), kind="dirac-origin", provenance="analytic",
-        moments=np.zeros(n))
-    table = InvasionRateTable(measures=[origin], rates=model.growth_rate_origin()[None],
-                              ci=np.zeros((1, n)), n_species=n)
+    origin = ErgodicMeasure(support=(), kind="dirac-origin", provenance="analytic",
+                            moments=np.zeros(n))
+    built = [(origin, model.growth_rate_origin(), np.zeros(n))]
     unresolved: list[tuple[tuple[int, ...], str]] = []
 
-    for size in range(1, n):
+    # a face's rows and unresolved subfaces lie on smaller faces: each level is
+    # decided against one table of the levels below, and the last is the boundary's
+    for size in range(1, n + 1):
+        mus, rate_rows, ci_rows = zip(*built)
+        table = InvasionRateTable(measures=list(mus), rates=np.array(rate_rows),
+                                  ci=np.array(ci_rows), n_species=n)
+        if size == n:
+            break
+        bad = np.array([face_mask(u) for u, _ in unresolved], dtype=np.int64)
         for face in itertools.combinations(range(n), size):
-            fset = set(face)
-            poisoned = next((u for u, _ in unresolved if set(u) <= fset), None)
-            if poisoned is not None:
-                unresolved.append(
-                    (face, f"contains unresolved face {_face_label(poisoned)}"))
+            poisoned = proper_subsets(bad, face_mask(face))
+            if poisoned.size:
+                unresolved.append((face, "contains unresolved face "
+                                   + _face_label(unresolved[poisoned[0]][0])))
                 continue
             rows = table.rows_below(face)
             rates, ci, unknown = table.lp_view(rows, face)
-            decision = _bound_decision(rates, ci) if unknown is None else None
-            if decision is None:
-                d = maximin_decision(table, rows, face)
-                decision = d.decision
-            if decision == "undecidable":
-                k, i = d.undecidable
+            if unknown is not None:
+                k, i = unknown
                 unresolved.append((face, (
                     f"invasion rate of species {i + 1} against "
                     f"{table.measures[k].key} is not sign-decidable at this "
                     "Monte Carlo budget")))
-            elif decision == "positive":
+                continue
+            decision = _bound_decision(rates, ci)
+            if decision is None:
+                d = maximin_decision(table, rows, face)
+                decision = d.decision
+            if decision == "positive":
                 try:
-                    built = _build_face_measure(model, face, budget)
+                    built.append(_build_face_measure(model, face, budget))
                 except MeasureError as exc:
                     unresolved.append((face, str(exc)))
-                else:
-                    table.append(*built)
             elif decision == "unresolved":
                 unresolved.append((face, (
                     f"subsystem maximin value {d.t_star:.3g} is too close to zero "
@@ -685,4 +685,3 @@ def discover_boundary(model: KolmogorovModel,
 
     return BoundaryDiscovery(measures=list(table.measures), table=table,
                              unresolved=unresolved)
-

@@ -193,7 +193,8 @@ TOO_LONG = "not valid JSON: Exceeds the limit"
 
 # a file that is not UTF-8, an integer too long for json.loads, and nesting
 # too deep for it raise in the standard library, not in stokolmo; an integer
-# beyond the float range overflows float()
+# beyond the float range overflows float(), and so does a number literal in
+# an expression
 @pytest.mark.parametrize("command,data,message", [
     ("classify", b'{"n": 1, "sigma": [[1.0]], "x": "\xe9"}', DECODE),
     ("classify", b'{"n": 1' + b"0" * 5000 + b"}", TOO_LONG),
@@ -207,9 +208,12 @@ TOO_LONG = "not valid JSON: Exceeds the limit"
      "not valid JSON: maximum recursion depth"),
     ("foodchain", b'{"n": 2, "a10": ' + b"[" * 100000 + b"]" * 100000 + b"}",
      "not valid JSON: maximum recursion depth"),
+    ("check", b'{"n": 2, "general": {"f": ["2 - x1 + x1/1e999", "1 - x2"], '
+     b'"g": ["1", "1"]}, "sigma": [[1, 0], [0, 1]]}',
+     "general.f[0]: number literal '1e999' overflows to inf (at offset 12)"),
 ], ids=["model-latin1", "model-long-int", "chain-latin1", "chain-long-int",
         "model-int-beyond-float", "chain-int-beyond-float", "chain-a10-overflow",
-        "model-nested-too-deep", "chain-nested-too-deep"])
+        "model-nested-too-deep", "chain-nested-too-deep", "model-literal-overflow"])
 def test_unreadable_documents_are_json_and_exit_2(capsys, tmp_path, command, data,
                                                   message):
     p = tmp_path / "doc.json"

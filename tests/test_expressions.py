@@ -42,6 +42,7 @@ def test_broadcasts_over_arrays():
 
 @pytest.mark.parametrize("bad", [
     "", "2 +", "(1", "1 )", "x0", "x3", "foo(1)", "1 @ 2", "2..5", "x1 x2",
+    "1e999",
 ])
 def test_syntax_errors_carry_offset(bad):
     with pytest.raises(ExpressionSyntaxError) as ei:

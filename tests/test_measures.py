@@ -213,6 +213,16 @@ def test_rows_below_are_proper_subfaces():
                    np.zeros((5, 3)))
     assert t.rows_below((0, 1)).tolist() == [0, 1, 2]
     assert t.rows_below((0,)).tolist() == [0]
+    # random supports, repeats included, against every face of 5 species
+    rng = np.random.default_rng(3)
+    supports = [tuple(int(i) for i in np.flatnonzero(rng.random(5) < 0.4))
+                for _ in range(40)]
+    t = hand_table(supports, np.zeros((40, 5)), np.zeros((40, 5)))
+    assert np.array_equal(t.on_support, [[i in s for i in range(5)] for s in supports])
+    for size in range(1, 6):
+        for face in itertools.combinations(range(5), size):
+            expect = [k for k, s in enumerate(supports) if set(s) < set(face)]
+            assert t.rows_below(face).tolist() == expect, face
 
 
 def test_binding_slack_scales_with_margin():
@@ -342,6 +352,23 @@ def test_borderline_face_poisons_superfaces():
     assert found == ["origin", "face_2", "face_3", "face_2_3"]
 
 
+def test_first_unresolved_subface_is_named():
+    # species 3 sits at the integrability boundary, and species 2 invades
+    # species 1 at a rate of exactly zero, so {3} and then {1, 2} are
+    # unresolved; {1, 2, 3} lies above both and names {3}, the first in
+    # discovery order, although {1, 2} has the smaller support bitmask
+    B = [[-1.0, -0.5, -0.1, -0.1], [-1.0, -1.0, -0.1, -0.1],
+         [-0.1, -0.1, -1.0, -0.1], [-0.1, -0.1, -0.1, -1.0]]
+    m = parse_model(json.dumps({
+        "n": 4, "lv": {"a": [2.0, 2.0, 0.5, 2.0], "B": B, "g": [1.0] * 4},
+        "sigma": np.eye(4).tolist()}))
+    reason = dict(discover_boundary(m).unresolved)
+    assert "too close to zero" in reason[(2,)]
+    assert "too close to zero" in reason[(0, 1)]
+    assert reason[(0, 1, 2)] == "contains unresolved face {3}"
+    assert reason[(0, 1, 3)] == "contains unresolved face {1, 2}"
+
+
 def lv_community(kind: str, n: int, seed: int):
     """A generated Lotka-Volterra community: weak competition (every face
     carries a measure) or a prey under n - 1 predator levels."""
@@ -364,22 +391,29 @@ def lv_community(kind: str, n: int, seed: int):
 
 
 def reference_lv_table(model) -> InvasionRateTable:
-    """Discovery as one maximin LP per face, rows picked by set comparison."""
-    origin = ErgodicMeasure(support=(), kind="dirac-origin", provenance="analytic",
-                            moments=np.zeros(model.n))
-    table = InvasionRateTable(measures=[origin], rates=model.growth_rate_origin()[None],
-                              ci=np.zeros((1, model.n)), n_species=model.n)
-    for size in range(1, model.n):
-        for face in itertools.combinations(range(model.n), size):
-            rows = [k for k, mu in enumerate(table.measures) if set(mu.support) < set(face)]
-            d = maximin_decision(table, rows, face)
+    """Discovery as one maximin LP per face, rows picked by set comparison
+    from a table of every measure found so far."""
+    n = model.n
+    measures = [ErgodicMeasure(support=(), kind="dirac-origin", provenance="analytic",
+                               moments=np.zeros(n))]
+    rates = [model.growth_rate_origin()]
+
+    def table():
+        return InvasionRateTable(measures=list(measures), rates=np.array(rates),
+                                 ci=np.zeros((len(rates), n)), n_species=n)
+
+    for size in range(1, n):
+        for face in itertools.combinations(range(n), size):
+            rows = [k for k, mu in enumerate(measures) if set(mu.support) < set(face)]
+            d = maximin_decision(table(), rows, face)
             assert d.decision in ("positive", "negative")
             if d.decision == "positive":
                 moments, residual = lv_face_equilibrium(model, face)
-                mu = ErgodicMeasure(support=face, kind="lv-moments", provenance="analytic",
-                                    moments=moments, residual=residual)
-                table.append(mu, _lv_rates(model, moments), np.zeros(model.n))
-    return table
+                measures.append(ErgodicMeasure(support=face, kind="lv-moments",
+                                               provenance="analytic", moments=moments,
+                                               residual=residual))
+                rates.append(_lv_rates(model, moments))
+    return table()
 
 
 @pytest.mark.parametrize("kind", ["competitive", "food_chain"])
