@@ -12,16 +12,14 @@ Run from the repository root:
     python3 scripts/bench.py --section faces --label faces --against ../other
 
 --section lp (the default) classifies seeded competitive and food-chain
-Lotka-Volterra communities of 3-10 species and keeps the block of every
-face discovery examines (rebuilt from the final table: a face's rows are
-the measures on its proper subfaces, all found before it), whether or
-not discovery solved an LP there, and every table the verdict tests hand
-to ``solve_maximin`` after discovery (the script wraps
-``measures.solve_maximin``, ``classify.solve_maximin`` and
-``classify.discover_boundary``; the library itself is untouched).  Then
-it times each kept table alone, takes the fastest of REPEATS solves, and
-reports per (rows, species) shape the median over that shape's tables
-(at most MAX_TIMED of them, spread evenly), with the machine it ran on.
+Lotka-Volterra communities of 3-10 species and keeps every table
+``solve_maximin`` receives, inside boundary discovery (only where its
+closed-form bounds straddle the decision gate) and in the verdict tests
+after it (the script wraps ``measures.solve_maximin`` and
+``classify.solve_maximin``; the library itself is untouched).  Then it
+times each kept table alone, takes the fastest of REPEATS solves, and
+reports per (rows, species) shape the median over that shape's tables,
+with the machine it ran on.
 
 --section classify times ``classify`` on each of those communities and
 on the 12-species competitive community from ``default_rng(0)``,
@@ -31,9 +29,9 @@ without an LP.
 
 --section engine times ``simulate_ensemble`` on each model of the
 ``verify_ensemble`` benchmark workload at 128 paths, with the horizon,
-burn-in and seed ``stokolmo verify`` uses there, ENGINE_ROUNDS times,
-and reports the median time as million path-steps per second (path-steps
-count each path up to its halt).
+burn-in and first seed ``stokolmo verify`` uses there, ENGINE_ROUNDS
+times, and reports the median time as million path-steps per second
+(path-steps count each path up to its halt).
 
 --section verify times ``classify`` plus ``verify_verdict`` on each
 model ``scripts/run_examples.py`` runs, at its quick budget (64 paths,
@@ -73,33 +71,25 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
 import stokolmo  # noqa: E402
+from workloads import FACE_MC_PLAN, FACE_SIM, VERIFY_PLAN, general_doc  # noqa: E402
 
 measures = importlib.import_module("stokolmo.measures")
 
 SIZES = range(3, 11)
 SEEDS = (1, 2)
 REPEATS = 9         # solves per table; the fastest counts
-MAX_TIMED = 60
 CLASSIFY_ROUNDS = 8  # classify calls per model and checkout; the median counts
 
 ENGINE_PATHS = 128
 ENGINE_DT = 1e-3
 ENGINE_ROUNDS = 5   # ensembles per model and checkout; the median counts
-# model, horizon T and verify seed, as the verify_ensemble workload runs them
-ENGINE_PLAN = (
-    ("logistic", 60.0, 0),
-    ("lv_coexist", 40.0, 1),
-    ("predprey", 40.0, 0),
-    ("holling2d", 60.0, 0),
-    ("lv_single_extinct", 40.0, 0),
-    ("lv_bistable", 40.0, 0),
-    ("two_pred_one_prey", 30.0, 0),
-    ("coop_blowup", 30.0, 0),
-)
+# model, horizon T and first verify seed, as the verify_ensemble workload runs them
+ENGINE_PLAN = tuple((name, horizon, seeds[0]) for name, horizon, seeds in VERIFY_PLAN)
 
 VERIFY_PATHS = 64
 VERIFY_T = 240.0
@@ -174,83 +164,51 @@ def face_blocks(disc) -> list:
     return blocks
 
 
-def wrap_lps(pkg, on_table, on_discovery):
-    """Route ``pkg``'s LP calls through ``on_table(rates, discovering)`` and
-    each discovery result through ``on_discovery(disc, lps_inside)``;
-    returns the function that undoes it."""
+def traced_classify(pkg, model) -> tuple[list, list]:
+    """Classify ``model`` with ``pkg`` at the default budget.  Returns a
+    copy of every table ``solve_maximin`` received, in order, and each
+    discovery result with the number of those tables it passed."""
     meas = importlib.import_module(pkg.__name__ + ".measures")
     cls = importlib.import_module(pkg.__name__ + ".classify")
     solve, discover = meas.solve_maximin, cls.discover_boundary
-    state = {"calls": 0, "discovering": False}
+    tables, discoveries = [], []
 
-    def counted(rates):
-        state["calls"] += 1
-        on_table(rates, state["discovering"])
+    def traced(rates):
+        tables.append(np.array(rates, dtype=float))
         return solve(rates)
 
-    def discover_counted(*args, **kwargs):
-        before = state["calls"]
-        state["discovering"] = True
-        try:
-            disc = discover(*args, **kwargs)
-        finally:
-            state["discovering"] = False
-        on_discovery(disc, state["calls"] - before)
+    def traced_discover(*args, **kwargs):
+        before = len(tables)
+        disc = discover(*args, **kwargs)
+        discoveries.append((disc, len(tables) - before))
         return disc
 
-    meas.solve_maximin = cls.solve_maximin = counted
-    cls.discover_boundary = discover_counted
-
-    def undo():
+    meas.solve_maximin = cls.solve_maximin = traced
+    cls.discover_boundary = traced_discover
+    try:
+        pkg.classify(model, pkg.AnalysisBudget())
+    finally:
         meas.solve_maximin = cls.solve_maximin = solve
         cls.discover_boundary = discover
-    return undo
+    return tables, discoveries
 
 
-def collect_tables(seeds) -> list:
-    tables = []
-
-    def keep(rates, discovering):
-        if not discovering:     # discovery's tables are kept as face blocks
-            tables.append(np.array(rates, dtype=float))
-
-    undo = wrap_lps(stokolmo, keep, lambda disc, _: tables.extend(face_blocks(disc)))
-    try:
-        for _, doc in communities(seeds):
-            stokolmo.classify(stokolmo.parse_model(json.dumps(doc)), stokolmo.AnalysisBudget())
-    finally:
-        undo()
-    return tables
+def collect_tables(docs) -> list:
+    """Every table ``solve_maximin`` receives while classifying each model
+    document, in order."""
+    return [t for doc in docs
+            for t in traced_classify(stokolmo, stokolmo.parse_model(json.dumps(doc)))[0]]
 
 
-def time_shapes(tables, solvers: list) -> dict:
-    """Per shape and solver, the median over the shape's tables of the
-    fastest solve.  Every round times every table once with each solver,
-    so a slow spell of the machine cannot land on one shape or solver."""
-    by_shape = collections.defaultdict(list)
-    for t in tables:
-        by_shape[t.shape].append(t)
-    timed = [(shape, t) for shape, group in sorted(by_shape.items())
-             for t in group[::max(1, len(group) // MAX_TIMED)][:MAX_TIMED]]
-    best = np.full((len(solvers), len(timed)), np.inf)
-    order = list(range(len(solvers)))
-    for _ in range(REPEATS):
-        order.reverse()
-        for i, (_, t) in enumerate(timed):
-            for s in order:
-                t0 = time.perf_counter()
-                solvers[s](t)
-                best[s, i] = min(best[s, i], time.perf_counter() - t0)
-    out = {}
-    for shape in sorted(by_shape):
-        cols = [i for i, (sh, _) in enumerate(timed) if sh == shape]
-        med = [round(1e6 * float(np.median(best[s, cols])), 1) for s in range(len(solvers))]
-        row = {"calls": len(by_shape[shape]), "timed": len(cols), "median_us": med[0]}
-        if len(solvers) > 1:      # the ratio is paired: the median of per-table ratios
-            row["against_median_us"] = med[1]
-            row["ratio"] = round(float(np.median(best[0, cols] / best[1, cols])), 3)
-        out["%dx%d" % shape] = row
-    return out
+def lp_counts(pkg, model) -> dict:
+    """LP calls of one classify, faces discovery examined, and how many of
+    those it decided without an LP."""
+    tables, discoveries = traced_classify(pkg, model)
+    counts = {"lp_calls": len(tables)}
+    for disc, inside in discoveries:
+        counts["faces"] = len(face_blocks(disc))
+        counts["faces_by_bound"] = counts["faces"] - inside
+    return counts
 
 
 def git_rev(root) -> str | None:
@@ -272,24 +230,9 @@ def load_package(checkout: pathlib.Path):
     return module
 
 
-def lp_section(against) -> dict:
-    tables = collect_tables(SEEDS)
-    solvers = [measures.solve_maximin]
-    if against:
-        load_package(pathlib.Path(against))
-        solvers.append(importlib.import_module("against_stokolmo.simplex").solve_maximin)
-    shapes = time_shapes(tables, solvers)
-    est = sum(v["calls"] * v["median_us"] for v in shapes.values()) * 1e-6
-    doc = {"seeds": list(SEEDS), "repeats": REPEATS,
-           "lp_calls": len(tables), "lp_s_estimate": round(est, 3), "shapes": shapes}
-    if against:
-        doc["against_lp_s_estimate"] = round(1e-6 * sum(
-            v["calls"] * v["against_median_us"] for v in shapes.values()), 3)
-    print(f"{len(tables)} tables, {len(shapes)} shapes, estimated LP time {est:.2f} s")
-    for key, v in shapes.items():
-        print(f"{key:>8} {v['median_us']:>11.1f}"
-              + (f" {v['against_median_us']:>11.1f} {v['ratio']:6.2f}" if against else ""))
-    return doc
+def checkouts(against) -> list:
+    """This checkout's package, then the other checkout's if there is one."""
+    return [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
 
 
 def paired_rounds(packages, names, rounds, run):
@@ -309,107 +252,119 @@ def paired_rounds(packages, names, rounds, run):
     return seconds, results
 
 
-def lp_counts(pkg, model) -> dict:
-    """LP calls of one classify, faces discovery examined, and how many of
-    those it decided without an LP."""
-    found = {}
+def lp_section(against) -> dict:
+    tables = collect_tables(doc for _, doc in communities(SEEDS))
+    solvers = [importlib.import_module(pkg.__name__ + ".simplex").solve_maximin
+               for pkg in checkouts(against)]
+    seconds, _ = paired_rounds(solvers, range(len(tables)), REPEATS,
+                               lambda solve, k, i: solve(tables[i]))
+    best = seconds.min(axis=2)      # (solver, table): the fastest solve
+    by_shape = collections.defaultdict(list)
+    for i, t in enumerate(tables):
+        by_shape[t.shape].append(i)
+    shapes = {}
+    for shape, cols in sorted(by_shape.items()):
+        row = {"calls": len(cols), "median_us": round(1e6 * float(np.median(best[0, cols])), 1)}
+        if against:               # the ratio is paired: the median of per-table ratios
+            row["against_median_us"] = round(1e6 * float(np.median(best[1, cols])), 1)
+            row["ratio"] = round(float(np.median(best[0, cols] / best[1, cols])), 3)
+        shapes["%dx%d" % shape] = row
+    doc = {"seeds": list(SEEDS), "repeats": REPEATS, "lp_calls": len(tables),
+           "lp_s_estimate": round(float(best[0].sum()), 3), "shapes": shapes}
+    if against:
+        doc["against_lp_s_estimate"] = round(float(best[1].sum()), 3)
+    print(f"{len(tables)} tables, {len(shapes)} shapes, LP time {doc['lp_s_estimate']:.3f} s")
+    for key, v in shapes.items():
+        print(f"{key:>8} {v['median_us']:>11.1f}"
+              + (f" {v['against_median_us']:>11.1f} {v['ratio']:6.2f}" if against else ""))
+    return doc
 
-    def on_discovery(disc, lps_inside):
-        found["faces"] = len(face_blocks(disc))
-        found["faces_by_bound"] = found["faces"] - lps_inside
 
-    calls = []
-    undo = wrap_lps(pkg, lambda rates, _: calls.append(rates.shape), on_discovery)
-    try:
-        pkg.classify(model, pkg.AnalysisBudget())
-    finally:
-        undo()
-    return {"lp_calls": len(calls), **found}
+def paired_models(against, names, rounds, inputs, run, fingerprint, same, fields,
+                  against_fields=lambda *_: {}) -> dict:
+    """One row per name, timing ``run(pkg, *inputs(pkg, name))`` for this
+    checkout and the ``against`` one in :func:`paired_rounds`.  A row holds
+    ``fields(pkg, inputs, result, median_s)`` and the median seconds of this
+    checkout; with ``against``, also the other's median seconds, the median
+    over rounds of the time ratio, ``against_fields`` (called as ``fields``)
+    of the other, and under key ``same`` whether both results have the same
+    ``fingerprint(pkg, result)``."""
+    packages = checkouts(against)
+    args = {(k, name): inputs(pkg, name) for k, pkg in enumerate(packages) for name in names}
+    seconds, results = paired_rounds(packages, names, rounds,
+                                     lambda pkg, k, name: run(pkg, *args[k, name]))
+    out = {}
+    for m, name in enumerate(names):
+        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
+        row = {**fields(stokolmo, args[0, name], results[0, name], med[0]),
+               "median_s": round(med[0], 4)}
+        if against:
+            row["against_median_s"] = round(med[1], 4)
+            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
+            row.update(against_fields(packages[1], args[1, name], results[1, name], med[1]))
+            row[same] = (fingerprint(stokolmo, results[0, name])
+                         == fingerprint(packages[1], results[1, name]))
+        out[name] = row
+        print(f"{name:>24} " + " ".join(f"{key}={v}" for key, v in row.items()))
+    return out
 
 
 def classify_section(against) -> dict:
     """Median ``classify`` time per model (rounds as in :func:`paired_rounds`)."""
-    packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
-    plan = communities(SEEDS) + [("competitive_12", twelve_species())]
-    models = {(k, name): pkg.parse_model(json.dumps(doc))
-              for k, pkg in enumerate(packages) for name, doc in plan}
-    seconds, results = paired_rounds(
-        packages, [name for name, _ in plan], CLASSIFY_ROUNDS,
-        lambda pkg, k, name: pkg.classify(models[k, name], pkg.AnalysisBudget()))
-    verdicts = {key: json.dumps(v.to_json_dict(), default=float) for key, v in results.items()}
-    out = {}
-    for m, (name, _) in enumerate(plan):
-        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
-        row = {"median_s": round(med[0], 4), **lp_counts(stokolmo, models[0, name])}
-        if against:
-            row["against_median_s"] = round(med[1], 4)
-            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
-            row["against"] = lp_counts(packages[1], models[1, name])
-            row["same_verdict"] = verdicts[0, name] == verdicts[1, name]
-        out[name] = row
-        print(f"{name:>24} {row['median_s']:>8.3f} lp {row['lp_calls']:>5}"
-              f" bound {row['faces_by_bound']:>4}/{row['faces']:<4}"
-              + (f" {row['against_median_s']:>8.3f} lp {row['against']['lp_calls']:>5}"
-                 f" {row['ratio']:6.2f}"
-                 f" {'same verdict' if row['same_verdict'] else 'VERDICT DIFFERS'}"
-                 if against else ""))
-    totals = {"median_s": round(sum(v["median_s"] for v in out.values()), 3),
-              "lp_calls": sum(v["lp_calls"] for v in out.values()),
-              "faces": sum(v["faces"] for v in out.values()),
-              "faces_by_bound": sum(v["faces_by_bound"] for v in out.values())}
+    plan = dict(communities(SEEDS) + [("competitive_12", twelve_species())])
+    out = paired_models(
+        against, list(plan), CLASSIFY_ROUNDS,
+        inputs=lambda pkg, name: (pkg.parse_model(json.dumps(plan[name])),),
+        run=lambda pkg, model: pkg.classify(model, pkg.AnalysisBudget()),
+        fingerprint=lambda pkg, verdict: pkg.canonical_json(verdict.to_json_dict()),
+        same="same_verdict",
+        fields=lambda pkg, args, *_: lp_counts(pkg, *args),
+        against_fields=lambda pkg, args, *_: {"against": lp_counts(pkg, *args)})
+    rows = out.values()
+    totals = {"median_s": round(sum(v["median_s"] for v in rows), 3),
+              **{key: sum(v[key] for v in rows) for key in ("lp_calls", "faces", "faces_by_bound")}}
     if against:
-        totals["against_median_s"] = round(sum(v["against_median_s"] for v in out.values()), 3)
-        totals["against_lp_calls"] = sum(v["against"]["lp_calls"] for v in out.values())
+        totals["against_median_s"] = round(sum(v["against_median_s"] for v in rows), 3)
+        totals["against_lp_calls"] = sum(v["against"]["lp_calls"] for v in rows)
     return {"seeds": list(SEEDS), "rounds": CLASSIFY_ROUNDS, "totals": totals, "models": out}
 
 
-def ensemble_arrays(stats) -> list:
-    """Every array of an ``EnsembleStats``, in a fixed order."""
-    return [stats.y_end, stats.t_end, stats.y_burn, stats.blowup_time,
-            stats.extinct_time, stats.exponents, stats.histogram.masses,
-            *(w.masses for w in stats.window_histograms),
-            stats.mean_state, stats.path_mean_state]
-
-
-def same_bits(a, b) -> bool:
-    """Whether two ensembles hold the same bits in every array and the same
-    path errors."""
-    xs, ys = ensemble_arrays(a), ensemble_arrays(b)
-    return (len(xs) == len(ys) and a.path_errors == b.path_errors
-            and all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys)))
+def ensemble_fingerprint(stats):
+    """The path errors and the shape and bits of every array of an
+    ``EnsembleStats``."""
+    arrays = [stats.y_end, stats.t_end, stats.y_burn, stats.blowup_time,
+              stats.extinct_time, stats.exponents, stats.histogram.masses,
+              *(w.masses for w in stats.window_histograms),
+              stats.mean_state, stats.path_mean_state]
+    return stats.path_errors, [(x.shape, x.tobytes()) for x in arrays]
 
 
 def engine_section(against) -> dict:
     """Median Mpath-steps/s of ``simulate_ensemble`` per model (rounds as
     in :func:`paired_rounds`)."""
-    packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
-    models, cfgs = {}, {}
-    for k, pkg in enumerate(packages):
-        for name, horizon, seed in ENGINE_PLAN:
-            models[k, name] = pkg.load_model(str(ROOT / "models" / f"{name}.json"))
-            cfgs[k, name] = pkg.SimConfig(dt=ENGINE_DT, t_max=horizon, n_paths=ENGINE_PATHS,
-                                          burn_in=min(50.0, 0.1 * horizon), seed=seed)
-    seconds, results = paired_rounds(
-        packages, [name for name, _, _ in ENGINE_PLAN], ENGINE_ROUNDS,
-        lambda pkg, k, name: pkg.simulate_ensemble(models[k, name],
-                                                   np.ones(models[k, name].n), cfgs[k, name]))
-    out = {}
-    for m, (name, horizon, seed) in enumerate(ENGINE_PLAN):
-        stats = results[0, name]
-        steps = int(np.rint(stats.t_end / ENGINE_DT).sum())
-        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
-        row = {"t_max": horizon, "seed": seed, "path_steps": steps,
-               "median_s": round(med[0], 4), "msteps_per_s": round(steps / med[0] * 1e-6, 3)}
-        if against:
-            other = results[1, name]
-            row["against_median_s"] = round(med[1], 4)
-            row["against_msteps_per_s"] = round(steps / med[1] * 1e-6, 3)
-            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
-            row["bit_identical"] = same_bits(stats, other)
-        out[name] = row
-        print(f"{name:>18} {row['msteps_per_s']:>8.3f}"
-              + (f" {row['against_msteps_per_s']:>8.3f} {row['ratio']:6.2f}"
-                 f" {'same bits' if row['bit_identical'] else 'BITS DIFFER'}" if against else ""))
+    plan = {name: (horizon, seed) for name, horizon, seed in ENGINE_PLAN}
+
+    def inputs(pkg, name):
+        model = pkg.load_model(str(ROOT / "models" / f"{name}.json"))
+        horizon, seed = plan[name]
+        return model, np.ones(model.n), pkg.SimConfig(
+            dt=ENGINE_DT, t_max=horizon, n_paths=ENGINE_PATHS,
+            burn_in=min(50.0, 0.1 * horizon), seed=seed)
+
+    def path_steps(stats):
+        return int(np.rint(stats.t_end / ENGINE_DT).sum())
+
+    out = paired_models(
+        against, list(plan), ENGINE_ROUNDS, inputs,
+        run=lambda pkg, *args: pkg.simulate_ensemble(*args),
+        fingerprint=lambda pkg, stats: ensemble_fingerprint(stats),
+        same="bit_identical",
+        fields=lambda pkg, args, stats, median_s: {
+            "t_max": args[2].t_max, "seed": args[2].seed,
+            "path_steps": path_steps(stats),
+            "msteps_per_s": round(path_steps(stats) / median_s * 1e-6, 3)},
+        against_fields=lambda pkg, args, stats, median_s: {
+            "against_msteps_per_s": round(path_steps(stats) / median_s * 1e-6, 3)})
     return {"paths": ENGINE_PATHS, "dt": ENGINE_DT, "rounds": ENGINE_ROUNDS, "models": out}
 
 
@@ -418,37 +373,25 @@ def verify_section(against) -> dict:
     :func:`paired_rounds`)."""
     sys.path.insert(0, str(ROOT / "scripts"))
     from run_examples import MODELS
-    packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
-    models = {(k, name): pkg.load_model(str(ROOT / "models" / f"{name}.json"))
-              for k, pkg in enumerate(packages) for name in MODELS}
-    cfgs = [pkg.SimConfig(t_max=VERIFY_T, burn_in=min(50.0, 0.1 * VERIFY_T),
-                          n_paths=VERIFY_PATHS, seed=0) for pkg in packages]
 
-    def run(pkg, k, name):
-        verdict = pkg.classify(models[k, name], pkg.AnalysisBudget())
+    def run(pkg, model, cfg):
+        verdict = pkg.classify(model, pkg.AnalysisBudget())
         ver = (None if verdict.kind == "Inconclusive"
-               else pkg.verify_verdict(models[k, name], verdict, cfgs[k]))
+               else pkg.verify_verdict(model, verdict, cfg))
         return verdict, ver
 
-    seconds, results = paired_rounds(packages, MODELS, VERIFY_ROUNDS, run)
-    reports = {key: (verdict.kind, ver and ver.status, packages[key[0]].canonical_json(
-                         {"verdict": verdict.to_json_dict(),
-                          "verification": ver and ver.to_json_dict()}))
-               for key, (verdict, ver) in results.items()}
-    out = {}
-    for m, name in enumerate(MODELS):
-        kind, status, _ = reports[0, name]
-        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
-        row = {"verdict": kind, "status": status, "median_s": round(med[0], 3)}
-        if against:
-            row["against_median_s"] = round(med[1], 3)
-            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
-            row["same_report"] = reports[0, name][2] == reports[1, name][2]
-        out[name] = row
-        print(f"{name:>18} {kind:>12} {status or '-':>7} {row['median_s']:>8.3f}"
-              + (f" {row['against_median_s']:>8.3f} {row['ratio']:6.2f}"
-                 f" {'same report' if row['same_report'] else 'REPORT DIFFERS'}"
-                 if against else ""))
+    out = paired_models(
+        against, MODELS, VERIFY_ROUNDS,
+        inputs=lambda pkg, name: (
+            pkg.load_model(str(ROOT / "models" / f"{name}.json")),
+            pkg.SimConfig(t_max=VERIFY_T, burn_in=min(50.0, 0.1 * VERIFY_T),
+                          n_paths=VERIFY_PATHS, seed=0)),
+        run=run,
+        fingerprint=lambda pkg, res: pkg.canonical_json(
+            {"verdict": res[0].to_json_dict(), "verification": res[1] and res[1].to_json_dict()}),
+        same="same_report",
+        fields=lambda pkg, args, res, _: {"verdict": res[0].kind,
+                                          "status": res[1] and res[1].status})
     return {"paths": VERIFY_PATHS, "t_max": VERIFY_T, "seed": 0,
             "rounds": VERIFY_ROUNDS, "models": out}
 
@@ -456,36 +399,19 @@ def verify_section(against) -> dict:
 def faces_section(against) -> dict:
     """Median ``classify`` time per ``face_mc`` community (rounds as in
     :func:`paired_rounds`)."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import FACE_MC_PLAN, FACE_SIM, general_doc
-    packages = [stokolmo] + ([load_package(pathlib.Path(against))] if against else [])
-    names = [name for name, *_ in FACE_MC_PLAN]
-    models = {(k, name): pkg.parse_model(json.dumps(general_doc(a, B)))
-              for k, pkg in enumerate(packages) for name, a, B, _ in FACE_MC_PLAN}
-    budgets = [pkg.AnalysisBudget(face_sim=pkg.SimConfig(**FACE_SIM, seed=FACES_SEED))
-               for pkg in packages]
-    seconds, results = paired_rounds(
-        packages, names, FACES_ROUNDS,
-        lambda pkg, k, name: pkg.classify(models[k, name], budgets[k]))
-    reports = {key: packages[key[0]].canonical_json(verdict.to_json_dict())
-               for key, verdict in results.items()}
-    out = {}
-    for m, name in enumerate(names):
-        verdict = results[0, name]
-        med = [float(np.median(seconds[k, m])) for k in range(len(packages))]
-        row = {"verdict": verdict.kind,
-               "mc_faces": sum(mu.kind == "empirical"
-                               for mu in (verdict.discovery.measures if verdict.discovery else [])),
-               "median_s": round(med[0], 4)}
-        if against:
-            row["against_median_s"] = round(med[1], 4)
-            row["ratio"] = round(float(np.median(seconds[0, m] / seconds[1, m])), 3)
-            row["same_report"] = reports[0, name] == reports[1, name]
-        out[name] = row
-        print(f"{name:>16} {row['verdict']:>12} mc {row['mc_faces']} {row['median_s']:>8.3f}"
-              + (f" {row['against_median_s']:>8.3f} {row['ratio']:6.2f}"
-                 f" {'same report' if row['same_report'] else 'REPORT DIFFERS'}"
-                 if against else ""))
+    plan = {name: general_doc(a, B) for name, a, B, _ in FACE_MC_PLAN}
+    out = paired_models(
+        against, list(plan), FACES_ROUNDS,
+        inputs=lambda pkg, name: (
+            pkg.parse_model(json.dumps(plan[name])),
+            pkg.AnalysisBudget(face_sim=pkg.SimConfig(**FACE_SIM, seed=FACES_SEED))),
+        run=lambda pkg, *args: pkg.classify(*args),
+        fingerprint=lambda pkg, verdict: pkg.canonical_json(verdict.to_json_dict()),
+        same="same_report",
+        fields=lambda pkg, args, verdict, _: {
+            "verdict": verdict.kind,
+            "mc_faces": sum(mu.kind == "empirical"
+                            for mu in (verdict.discovery.measures if verdict.discovery else []))})
     return {"face_sim": FACE_SIM, "seed": FACES_SEED, "rounds": FACES_ROUNDS, "models": out}
 
 

@@ -115,6 +115,13 @@ def _sim_config(args, n_paths: int) -> SimConfig:
         raise CLIError(str(exc))
 
 
+def _budget(args) -> AnalysisBudget:
+    try:
+        return AnalysisBudget(face_sim=replace(AnalysisBudget().face_sim, seed=args.seed))
+    except EngineError as exc:
+        raise CLIError(str(exc))
+
+
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -148,8 +155,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = _load(args.model)
-    budget = AnalysisBudget(face_sim=replace(AnalysisBudget().face_sim, seed=args.seed))
-    verdict = classify(model, budget)
+    verdict = classify(model, _budget(args))
     doc = {"model": model.to_json_dict(), "seed": args.seed,
            "tool_version": __version__, **verdict.to_json_dict()}
     _emit(canonical_json(doc) + "\n", args.out)
@@ -216,7 +222,7 @@ def _cmd_verify(args) -> int:
     cfg = _sim_config(args, args.paths)
     if args.format == "csv" and not args.out:
         raise CLIError("--format csv needs --out to anchor the CSV file names")
-    budget = AnalysisBudget(face_sim=replace(AnalysisBudget().face_sim, seed=args.seed))
+    budget = _budget(args)
     t0 = time.perf_counter()
     verdict = classify(model, budget)
     t1 = time.perf_counter()

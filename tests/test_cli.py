@@ -174,6 +174,7 @@ def test_foodchain_inconclusive(capsys, tmp_path):
     ("verify", "models/logistic.json", "--t", "2", "--paths", "4",
      "--out", "/no/such/dir/run.json"),
     ("simulate", "models/logistic.json", "--t", "1e16"),  # steps beyond int64
+    ("classify", "models/logistic.json", "--seed", "-1"),  # bad face seed
 ])
 def test_input_errors_are_json_and_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
